@@ -8,7 +8,10 @@
 // from the six paper indexes), solved with the k-aware graph. On a
 // multi-core machine the 4-thread row should show >= 2x speedup over
 // the serial row; on a single-core machine every row degenerates to
-// the serial path and the table only demonstrates determinism.
+// the serial path and the table only demonstrates determinism. The
+// 22-configuration space (u = 6 indexes, 6 * 2^6 < 22 * 21) takes the
+// relaxation kernel's subset-lattice path, so the identity check also
+// covers that path.
 //
 // Thread counts are requested explicitly via SolveOptions::num_threads,
 // so the sweep is independent of CDPD_THREADS.

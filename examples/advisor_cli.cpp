@@ -95,8 +95,9 @@ void PrintHelp(std::FILE* out) {
       "                    to a best-effort schedule instead of\n"
       "                    allocating past the limit\n"
       "  --segments N      chunks for segment-parallel k-aware solving\n"
-      "                    (0 = auto-size from the stage count, 1 =\n"
-      "                    monolithic; exact for every value)\n"
+      "                    (0 = auto: monolithic on subset-lattice\n"
+      "                    spaces, else sized from the stage count;\n"
+      "                    1 = monolithic; exact for every value)\n"
       "  --prune           drop dominated candidate configurations\n"
       "                    before solving (exact; see the explain\n"
       "                    header's scale line)\n"

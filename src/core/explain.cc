@@ -81,8 +81,7 @@ ExplainReport BuildExplainReport(const DesignProblem& problem,
   // these dimensions, against what the tracker saw the solve reserve.
   if (k.has_value()) {
     report.predicted_kaware_bytes = PredictKAwareTableBytes(
-        static_cast<int64_t>(problem.num_segments()),
-        static_cast<int64_t>(problem.candidates.size()), *k,
+        static_cast<int64_t>(problem.num_segments()), problem.candidates, *k,
         problem.count_initial_change);
   }
   report.actual_kaware_bytes =

@@ -1,9 +1,12 @@
 #include "core/k_aware_graph.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <limits>
 
 #include "common/math_util.h"
 #include "common/stopwatch.h"
+#include "core/relax_stage.h"
 
 namespace cdpd {
 
@@ -38,8 +41,10 @@ KAwareGraphSize ComputeKAwareGraphSize(int64_t num_stages, int64_t num_configs,
   return size;
 }
 
-int64_t PredictKAwareTableBytes(int64_t num_stages, int64_t num_configs,
-                                int64_t k, bool count_initial_change) {
+int64_t PredictKAwareTableBytes(int64_t num_stages,
+                                const CandidateSpace& candidates, int64_t k,
+                                bool count_initial_change) {
+  const auto num_configs = static_cast<int64_t>(candidates.size());
   if (num_stages <= 0 || num_configs <= 0) return 0;
   if (k < 0) k = 0;
   // The same layer clamp SolveKAware applies before sizing its tables.
@@ -51,16 +56,17 @@ int64_t PredictKAwareTableBytes(int64_t num_stages, int64_t num_configs,
   int64_t bytes = SaturatingMul(
       SaturatingMul(int64_t{2}, layer_cells),
       static_cast<int64_t>(sizeof(double)));
-  // parent: n x layers x m cells of 8 bytes ({int32 layer, int32
-  // config}).
+  // parent: n x layers x m DpParent cells.
   bytes = SaturatingAdd(
       bytes, SaturatingMul(SaturatingMul(num_stages, layer_cells),
-                           int64_t{8}));
+                           static_cast<int64_t>(sizeof(DpParent))));
   // init_trans + final_trans boundary vectors.
   bytes = SaturatingAdd(
       bytes, SaturatingMul(SaturatingMul(int64_t{2}, num_configs),
                            static_cast<int64_t>(sizeof(double))));
-  return bytes;
+  // The lattice path's per-point values and argmins.
+  return SaturatingAdd(
+      bytes, RelaxScratchBytes(candidates, ChooseRelaxPath(candidates)));
 }
 
 Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
@@ -126,8 +132,7 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
   if (matrix_reservation.ok()) {
     table_reservation = ScopedReservation::Try(
         tracker, MemComponent::kKAwareTable,
-        PredictKAwareTableBytes(static_cast<int64_t>(n),
-                                static_cast<int64_t>(m), k,
+        PredictKAwareTableBytes(static_cast<int64_t>(n), configs, k,
                                 problem.count_initial_change));
   }
   if (!matrix_reservation.ok() || !table_reservation.ok()) {
@@ -171,18 +176,15 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
       }
     });
   }
+  const double* const final_or_null =
+      problem.final_config.has_value() ? final_trans.data() : nullptr;
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
   // dist[l * m + c]: cheapest way to execute S_1..S_i with
-  // C_i = configs[c] using exactly layer l (number of changes
-  // consumed).
+  // C_i = configs[c] using at most l changes.
   std::vector<double> dist(layers * m, kInf);
-  struct Parent {
-    int32_t layer = -1;
-    int32_t config = -1;
-  };
   // parent[(stage * layers + l) * m + c] for path reconstruction.
-  std::vector<Parent> parent(n * layers * m);
+  std::vector<DpParent> parent(n * layers * m);
 
   for (size_t c = 0; c < m; ++c) {
     const bool is_initial = configs[c] == problem.initial;
@@ -196,14 +198,26 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
     }
   }
 
-  // Phase 2: the layered DP, one parallel sweep over the (layer,
-  // config) cells per stage. Each cell depends only on the previous
-  // stage's dist array and scans predecessors in the same order as the
-  // serial loop, so the argmin (and hence the schedule) is
-  // thread-count-invariant.
+  // Phase 2: the layered DP, one serial kernel sweep per stage. The
+  // kernel picks the scan or the subset-lattice path from the space;
+  // either way the schedule is independent of the thread count.
   std::vector<double> next(layers * m, kInf);
-
+  RelaxKernel kernel(matrix, configs, layers, /*count_changes=*/true,
+                     ChooseRelaxPath(configs));
+  std::vector<ConfigId> path(n);
+  // Walks the parent table back from (last_stage, l, c) into path.
+  const auto trace_back = [&](size_t last_stage, size_t l, size_t c) {
+    for (size_t stage = last_stage + 1; stage-- > 0;) {
+      path[stage] = static_cast<ConfigId>(c);
+      if (stage == 0) break;
+      const DpParent p = parent[(stage * layers + l) * m + c];
+      l = static_cast<size_t>(p.layer);
+      c = static_cast<size_t>(p.config);
+    }
+  };
   const auto finish = [&](DesignSchedule done) -> DesignSchedule {
+    local_stats.nodes_expanded += kernel.reachable();
+    local_stats.relaxations = kernel.relaxations();
     local_stats.wall_seconds = watch.ElapsedSeconds();
     local_stats.costings = what_if.costings() - costings_before;
     if (stats != nullptr) *stats = local_stats;
@@ -237,17 +251,14 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
           "budget expired before any feasible schedule was found (the "
           "completed k-aware DP prefix has no reachable state)");
     }
+    std::fill(path.begin() + static_cast<std::ptrdiff_t>(last_stage),
+              path.end(), static_cast<ConfigId>(best_c));
+    trace_back(last_stage, best_l, best_c);
     DesignSchedule frozen;
-    frozen.configs.assign(n, configs[best_c]);
-    size_t l = best_l;
-    size_t c = best_c;
-    for (size_t stage = last_stage; stage-- > 0;) {
-      const Parent p = parent[((stage + 1) * layers + l) * m + c];
-      l = static_cast<size_t>(p.layer);
-      c = static_cast<size_t>(p.config);
-      frozen.configs[stage] = configs[c];
-    }
-    frozen.total_cost = EvaluateScheduleCost(problem, frozen.configs);
+    frozen.configs.reserve(n);
+    for (const ConfigId id : path) frozen.configs.push_back(configs[id]);
+    frozen.total_cost =
+        PricePath(matrix, path, init_trans.data(), final_or_null);
     local_stats.deadline_hit = true;
     local_stats.best_effort = true;
     return frozen;
@@ -257,11 +268,6 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
                   static_cast<int64_t>(n - 1));
   for (size_t stage = 1; stage < n; ++stage) {
     if (BudgetExpired(budget)) {
-      local_stats.relaxations =
-          static_cast<int64_t>(stage - 1) *
-          (static_cast<int64_t>(layers * m) +
-           static_cast<int64_t>((layers - 1) * m) *
-               static_cast<int64_t>(m - 1));
       CDPD_LOG(logger, LogLevel::kWarn, "kaware.deadline",
                LogField("stage", stage), LogField("stages", n));
       CDPD_ASSIGN_OR_RETURN(DesignSchedule frozen, freeze_prefix(stage - 1));
@@ -271,67 +277,10 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
                    static_cast<double>(stage) / static_cast<double>(n));
     CDPD_TRACE_SPAN(tracer, "kaware.stage", "solver",
                     static_cast<int64_t>(stage));
-    Parent* stage_parent = parent.data() + stage * layers * m;
-    const double* dist_data = dist.data();
-    ParallelFor(pool, 0, m, [&](size_t c) {
-      // One transposed TRANS row per destination config, reused across
-      // every layer of this stage: the row stays cache-hot while the
-      // layer loop sweeps it, and each sweep is a unit-stride read
-      // (trans_into[p] == Trans(p, c)) instead of a stride-m gather.
-      const double* trans_into = matrix.TransInto(c);
-      const double exec = matrix.Exec(stage, c);
-      for (size_t l = 0; l < layers; ++l) {
-        const size_t cell = l * m + c;
-        // Stay edge: same configuration, same layer. An unreachable
-        // cell carries +inf through unchanged — no guard needed.
-        double best = dist_data[cell];
-        Parent best_parent =
-            Parent{static_cast<int32_t>(l), static_cast<int32_t>(c)};
-        // Change edges: arrive from a different configuration one
-        // layer up. The p == c exclusion becomes two contiguous
-        // ranges [0, c) and (c, m); both sweep ascending, so the
-        // argmin tie-break matches the serial p = 0..m-1 scan.
-        // Unreachable predecessors need no kInf guard either:
-        // inf + finite = inf never wins `cost < best`.
-        if (l > 0) {
-          const double* prev_layer = dist_data + (l - 1) * m;
-          for (size_t p = 0; p < c; ++p) {
-            const double cost = prev_layer[p] + trans_into[p];
-            if (cost < best) {
-              best = cost;
-              best_parent = Parent{static_cast<int32_t>(l - 1),
-                                   static_cast<int32_t>(p)};
-            }
-          }
-          for (size_t p = c + 1; p < m; ++p) {
-            const double cost = prev_layer[p] + trans_into[p];
-            if (cost < best) {
-              best = cost;
-              best_parent = Parent{static_cast<int32_t>(l - 1),
-                                   static_cast<int32_t>(p)};
-            }
-          }
-        }
-        if (best < kInf) {
-          next[cell] = best + exec;
-          stage_parent[cell] = best_parent;
-        } else {
-          next[cell] = kInf;
-        }
-      }
-    });
+    kernel.RelaxStage(stage, dist.data(), next.data(),
+                      parent.data() + stage * layers * m);
     std::swap(dist, next);
-    for (size_t cell = 0; cell < layers * m; ++cell) {
-      if (dist[cell] < kInf) ++local_stats.nodes_expanded;
-    }
   }
-  // Relaxation count (closed form, matching the serial edge counting:
-  // one stay relaxation per cell plus m-1 change relaxations per cell
-  // above layer 0, per interior stage).
-  local_stats.relaxations =
-      static_cast<int64_t>(n - 1) *
-      (static_cast<int64_t>(layers * m) +
-       static_cast<int64_t>((layers - 1) * m) * static_cast<int64_t>(m - 1));
 
   double best = kInf;
   size_t best_layer = 0;
@@ -354,25 +303,17 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
     return Status::Internal("k-aware graph has no feasible path");
   }
 
-  schedule.total_cost = best;
-  schedule.configs.resize(n);
-  size_t l = best_layer;
-  size_t c = best_config;
-  for (size_t stage = n; stage-- > 0;) {
-    schedule.configs[stage] = configs[c];
-    if (stage == 0) break;
-    const Parent p = parent[(stage * layers + l) * m + c];
-    l = static_cast<size_t>(p.layer);
-    c = static_cast<size_t>(p.config);
-  }
+  trace_back(n - 1, best_layer, best_config);
+  schedule.configs.reserve(n);
+  for (const ConfigId id : path) schedule.configs.push_back(configs[id]);
+  schedule.total_cost =
+      PricePath(matrix, path, init_trans.data(), final_or_null);
   ReportProgress(progress, "kaware.dp", 1.0, schedule.total_cost);
+  schedule = finish(std::move(schedule));
   CDPD_LOG(logger, LogLevel::kInfo, "kaware.end",
            LogField("cost", schedule.total_cost),
            LogField("nodes_expanded", local_stats.nodes_expanded),
            LogField("relaxations", local_stats.relaxations));
-  local_stats.wall_seconds = watch.ElapsedSeconds();
-  local_stats.costings = what_if.costings() - costings_before;
-  if (stats != nullptr) *stats = local_stats;
   return schedule;
 }
 

@@ -35,32 +35,40 @@ struct KAwareGraphSize {
 KAwareGraphSize ComputeKAwareGraphSize(int64_t num_stages,
                                        int64_t num_configs, int64_t k);
 
-/// Predicted bytes of SolveKAware's DP working set — the dist/next
-/// arrays (2 x layers x m doubles), the parent table (n x layers x m
-/// 8-byte cells), and the boundary transition vectors — using the same
-/// layer clamp the solver applies (layers = min(k, n - 1 +
-/// count_initial_change) + 1). This is the model the explain report
-/// quotes against the measured MemComponent::kKAwareTable peak, and
-/// the figure a caller should budget when sizing
-/// SolveOptions::memory_limit_bytes; saturates at INT64_MAX. The
-/// O(k n 2^{2m}) space bound of §3 is this quantity with m = 2^{2m'}
-/// candidate configurations.
-int64_t PredictKAwareTableBytes(int64_t num_stages, int64_t num_configs,
-                                int64_t k, bool count_initial_change);
+/// Predicted bytes of SolveKAware's DP working set over `candidates`
+/// — the dist/next arrays (2 x layers x m doubles), the parent table
+/// (n x layers x m 8-byte DpParent cells), the boundary transition
+/// vectors, and on the lattice path its 2^u values and argmins
+/// (RelaxScratchBytes) — using the same layer clamp the solver applies
+/// (layers = min(k, n - 1 + count_initial_change) + 1). This is the
+/// model the explain report quotes against the measured
+/// MemComponent::kKAwareTable peak, and the figure a caller should
+/// budget when sizing SolveOptions::memory_limit_bytes; saturates at
+/// INT64_MAX. The O(k n 2^{2m}) space bound of §3 is this quantity
+/// with m = 2^{2m'} candidate configurations.
+int64_t PredictKAwareTableBytes(int64_t num_stages,
+                                const CandidateSpace& candidates, int64_t k,
+                                bool count_initial_change);
 
 /// Optimal *constrained* dynamic physical design (§3, the paper's
 /// contribution): shortest path through the k-aware sequence graph,
-/// whose layers 0..k record the number of design changes used so far.
-/// Staying in the same configuration keeps the layer; switching
-/// configurations moves one layer down. Runs in O(k * n * |C|^2) time
-/// (= O(k n 2^{2m})), and returns a schedule with at most k changes
-/// under the problem's change-counting policy.
+/// whose layer l holds the cheapest ways to reach a stage with at most
+/// l design changes. Staying in the same configuration keeps the
+/// layer; switching configurations moves one layer down. The paper's
+/// scan runs in O(k * n * |C|^2) time (= O(k n 2^{2m})); over an
+/// exact-mask space where it pays, the relaxation kernel instead
+/// prices change edges with a subset-lattice transform in
+/// O(k * n * u * 2^u) for u universe indexes (core/relax_stage.h).
+/// Returns a schedule with at most k changes under the problem's
+/// change-counting policy.
 ///
 /// The solve first precomputes the dense EXEC/TRANS cost matrices
-/// (WhatIfEngine::PrecomputeCostMatrix) and then relaxes each stage's
-/// (layer, config) cells — both fanned out across `pool` when one is
-/// given. The schedule, cost, and stats are identical for any thread
-/// count (each DP cell is a pure function of the previous stage).
+/// (WhatIfEngine::PrecomputeCostMatrix, fanned out across `pool` when
+/// one is given) and then relaxes each stage's (layer, config) cells
+/// with the serial RelaxKernel. The schedule, cost, and stats are
+/// identical for any thread count. The reported cost is the chosen
+/// path re-priced in EvaluateScheduleCost's order (PricePath), so it
+/// equals EvaluateScheduleCost bit for bit.
 ///
 /// k must be >= 0. A bound larger than the most changes any schedule
 /// can make (n - 1 interior changes, plus the initial build when it

@@ -9,6 +9,7 @@
 #include "common/math_util.h"
 #include "common/stopwatch.h"
 #include "core/k_aware_graph.h"
+#include "core/relax_stage.h"
 #include "workload/workload.h"
 
 namespace cdpd {
@@ -18,24 +19,25 @@ Status SegmentSolveOptions::Validate() const {
     return Status::InvalidArgument(
         "segmented.num_chunks must be >= 0 (0 = auto, 1 = monolithic)");
   }
-  if (min_chunk_stages == 0) {
-    return Status::InvalidArgument(
-        "segmented.min_chunk_stages must be positive");
-  }
   return Status::OK();
 }
 
 size_t ResolveNumChunks(const SegmentSolveOptions& options,
-                        size_t num_stages) {
+                        size_t num_stages, const CandidateSpace& candidates) {
   if (options.num_chunks == 1 || num_stages < 2) return 1;
   if (options.num_chunks >= 2) {
     return std::min(static_cast<size_t>(options.num_chunks), num_stages);
   }
-  // Auto: one chunk per min_chunk_stages stages, capped. Deliberately
-  // independent of the thread count — the schedule must stay identical
-  // for any number of workers, and chunk count influences tie-breaks.
-  const size_t chunks = std::min(num_stages / options.min_chunk_stages,
-                                 SegmentSolveOptions::kMaxAutoChunks);
+  // Auto. A lattice-path stage costs microseconds, so the m-fold entry
+  // redundancy of the chunk DPs would outweigh any parallel gain: one
+  // chunk. A scan space gets one chunk per kMinChunkStages stages,
+  // capped. Deliberately independent of the thread count — the
+  // schedule must stay identical for any number of workers, and chunk
+  // count influences tie-breaks.
+  if (ChooseRelaxPath(candidates) == RelaxPath::kLattice) return 1;
+  const size_t chunks =
+      std::min(num_stages / SegmentSolveOptions::kMinChunkStages,
+               SegmentSolveOptions::kMaxAutoChunks);
   return chunks >= 2 ? chunks : 1;
 }
 
@@ -43,31 +45,32 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Parent cell of the within-chunk DP (chunk-local stage indexing).
-struct ChunkParent {
-  int32_t layer = -1;
-  int32_t config = -1;
+/// Work one chunk DP run performed.
+struct ChunkWork {
+  int64_t nodes = 0;        // Reachable cells seen (nodes expanded).
+  int64_t relaxations = 0;  // RelaxKernel updates.
 };
 
 /// The layered DP of SolveKAware restricted to stages [chunk.begin,
 /// chunk.end), entered in design `entry` (an entry ConfigId, or -1 for
 /// the problem's initial design with its count_initial_change policy —
 /// chunk 0 only). Serial: chunk tasks are the parallel grain, and the
-/// serial ascending sweeps reproduce SolveKAware's argmin tie-breaks
-/// exactly. On return `dist` holds the final stage's (layer, config)
+/// kernel on `path` repeats the same computation whenever it is
+/// re-run. On return `dist` holds the final stage's (layer, config)
 /// costs; when `parent` is non-null it is filled for reconstruction
-/// ((local_stage * layers + l) * m + c). Returns the number of
-/// reachable cells seen (nodes expanded).
-int64_t RunChunkDp(const CostMatrix& matrix, const Segment& chunk,
-                   int64_t entry, const double* init_trans,
-                   const uint8_t* is_initial, bool count_initial_change,
-                   size_t layers, size_t m, std::vector<double>* dist_buf,
-                   std::vector<double>* next_buf, ChunkParent* parent) {
+/// ((local_stage * layers + l) * m + c).
+ChunkWork RunChunkDp(const CostMatrix& matrix, const CandidateSpace& space,
+                     RelaxPath path, const Segment& chunk, int64_t entry,
+                     const double* init_trans, const uint8_t* is_initial,
+                     bool count_initial_change, size_t layers,
+                     std::vector<double>* dist_buf,
+                     std::vector<double>* next_buf, DpParent* parent) {
+  const size_t m = space.size();
   std::vector<double>& dist = *dist_buf;
   std::vector<double>& next = *next_buf;
   dist.assign(layers * m, kInf);
   next.assign(layers * m, kInf);
-  int64_t nodes = 0;
+  ChunkWork work;
   for (size_t c = 0; c < m; ++c) {
     size_t layer;
     double cost;
@@ -86,64 +89,20 @@ int64_t RunChunkDp(const CostMatrix& matrix, const Segment& chunk,
     if (layer >= layers) continue;
     if (cost < dist[layer * m + c]) {
       dist[layer * m + c] = cost;
-      ++nodes;
+      ++work.nodes;
     }
   }
+  RelaxKernel kernel(matrix, space, layers, /*count_changes=*/true, path);
   for (size_t stage = chunk.begin + 1; stage < chunk.end; ++stage) {
-    ChunkParent* stage_parent =
-        parent != nullptr ? parent + (stage - chunk.begin) * layers * m
-                          : nullptr;
-    const double* dist_data = dist.data();
-    for (size_t c = 0; c < m; ++c) {
-      const double* trans_into = matrix.TransInto(c);
-      const double exec = matrix.Exec(stage, c);
-      for (size_t l = 0; l < layers; ++l) {
-        const size_t cell = l * m + c;
-        double best = dist_data[cell];
-        ChunkParent best_parent{static_cast<int32_t>(l),
-                                static_cast<int32_t>(c)};
-        if (l > 0) {
-          const double* prev_layer = dist_data + (l - 1) * m;
-          for (size_t p = 0; p < c; ++p) {
-            const double cost = prev_layer[p] + trans_into[p];
-            if (cost < best) {
-              best = cost;
-              best_parent = ChunkParent{static_cast<int32_t>(l - 1),
-                                        static_cast<int32_t>(p)};
-            }
-          }
-          for (size_t p = c + 1; p < m; ++p) {
-            const double cost = prev_layer[p] + trans_into[p];
-            if (cost < best) {
-              best = cost;
-              best_parent = ChunkParent{static_cast<int32_t>(l - 1),
-                                        static_cast<int32_t>(p)};
-            }
-          }
-        }
-        if (best < kInf) {
-          next[cell] = best + exec;
-          if (stage_parent != nullptr) stage_parent[cell] = best_parent;
-          ++nodes;
-        } else {
-          next[cell] = kInf;
-        }
-      }
-    }
+    kernel.RelaxStage(stage, dist.data(), next.data(),
+                      parent != nullptr
+                          ? parent + (stage - chunk.begin) * layers * m
+                          : nullptr);
     std::swap(dist, next);
   }
-  return nodes;
-}
-
-/// Closed-form relaxation count of one chunk DP run (mirrors
-/// SolveKAware's counting: one stay relaxation per cell plus m - 1
-/// change relaxations per above-layer-0 cell, per interior stage).
-int64_t ChunkRelaxations(size_t chunk_len, size_t layers, size_t m) {
-  if (chunk_len < 2) return 0;
-  return static_cast<int64_t>(chunk_len - 1) *
-         (static_cast<int64_t>(layers * m) +
-          static_cast<int64_t>((layers - 1) * m) *
-              static_cast<int64_t>(m - 1));
+  work.nodes += kernel.reachable();
+  work.relaxations = kernel.relaxations();
+  return work;
 }
 
 }  // namespace
@@ -209,19 +168,24 @@ Result<DesignSchedule> SolveKAwareSegmented(
         parent_bytes,
         SaturatingMul(SaturatingMul(len, layers),
                       SaturatingMul(static_cast<int64_t>(m),
-                                    static_cast<int64_t>(sizeof(ChunkParent)))));
+                                    static_cast<int64_t>(sizeof(DpParent)))));
   }
   // Stitch tables (two layers x m double arrays plus the per-chunk
-  // stitch parents) are negligible but charged for honesty.
+  // stitch parents) are negligible but charged for honesty, as is the
+  // lattice scratch of every chunk task that can run at once.
+  const RelaxPath relax_path = ChooseRelaxPath(configs);
   const int64_t stitch_bytes = SaturatingAdd(
       SaturatingMul(static_cast<int64_t>(2 * stitch_layers * m),
                     static_cast<int64_t>(sizeof(double))),
       SaturatingMul(static_cast<int64_t>(num_c * stitch_layers * m),
                     static_cast<int64_t>(12)));
-  const int64_t table_bytes =
-      SaturatingAdd(SaturatingAdd(f_bytes, parent_bytes), stitch_bytes);
+  const int64_t scratch_bytes =
+      SaturatingMul(RelaxScratchBytes(configs, relax_path),
+                    static_cast<int64_t>(local_stats.threads_used));
+  const int64_t table_bytes = SaturatingAdd(
+      SaturatingAdd(f_bytes, parent_bytes),
+      SaturatingAdd(stitch_bytes, scratch_bytes));
 
-  DesignSchedule schedule;
   const auto finish = [&](DesignSchedule done) -> DesignSchedule {
     local_stats.wall_seconds = watch.ElapsedSeconds();
     local_stats.costings = what_if.costings() - costings_before;
@@ -298,6 +262,7 @@ Result<DesignSchedule> SolveKAwareSegmented(
     }
   }
   std::atomic<int64_t> nodes_expanded{0};
+  std::atomic<int64_t> relaxations{0};
   std::atomic<size_t> tasks_done{0};
   bool complete;
   {
@@ -310,11 +275,13 @@ Result<DesignSchedule> SolveKAwareSegmented(
           const size_t layers = chunk_layers[t];
           std::vector<double> dist;
           std::vector<double> next;
-          const int64_t nodes = RunChunkDp(
-              matrix, chunks[t], entry, init_trans.data(), is_initial.data(),
-              problem.count_initial_change, layers, m, &dist, &next,
+          const ChunkWork work = RunChunkDp(
+              matrix, configs, relax_path, chunks[t], entry,
+              init_trans.data(), is_initial.data(),
+              problem.count_initial_change, layers, &dist, &next,
               /*parent=*/nullptr);
-          nodes_expanded.fetch_add(nodes, std::memory_order_relaxed);
+          nodes_expanded.fetch_add(work.nodes, std::memory_order_relaxed);
+          relaxations.fetch_add(work.relaxations, std::memory_order_relaxed);
           const size_t slot = entry < 0 ? 0 : static_cast<size_t>(entry);
           std::copy(dist.begin(), dist.end(),
                     F[t].begin() + slot * layers * m);
@@ -327,12 +294,7 @@ Result<DesignSchedule> SolveKAwareSegmented(
         budget);
   }
   local_stats.nodes_expanded = nodes_expanded.load(std::memory_order_relaxed);
-  int64_t relaxations = 0;
-  for (size_t t = 0; t < num_c; ++t) {
-    relaxations += static_cast<int64_t>(chunk_entries[t]) *
-                   ChunkRelaxations(chunks[t].size(), chunk_layers[t], m);
-  }
-  local_stats.relaxations = relaxations;
+  local_stats.relaxations = relaxations.load(std::memory_order_relaxed);
   if (!complete || BudgetExpired(budget)) {
     return best_static_fallback("deadline");
   }
@@ -432,7 +394,7 @@ Result<DesignSchedule> SolveKAwareSegmented(
   // into its disjoint slice of the schedule. The re-run repeats the
   // exact deterministic computation of phase A, so the chosen
   // (changes, exit) cell is reachable with the same cost.
-  schedule.configs.resize(n);
+  std::vector<ConfigId> path(n);
   std::atomic<bool> rebuild_bad{false};
   bool rebuilt;
   {
@@ -445,10 +407,13 @@ Result<DesignSchedule> SolveKAwareSegmented(
           const size_t layers = chunk_layers[t];
           std::vector<double> dist;
           std::vector<double> next;
-          std::vector<ChunkParent> parent(chunk.size() * layers * m);
-          RunChunkDp(matrix, chunk, chunk_entry[t], init_trans.data(),
-                     is_initial.data(), problem.count_initial_change, layers,
-                     m, &dist, &next, parent.data());
+          std::vector<DpParent> parent(chunk.size() * layers * m);
+          const ChunkWork work = RunChunkDp(
+              matrix, configs, relax_path, chunk, chunk_entry[t],
+              init_trans.data(), is_initial.data(),
+              problem.count_initial_change, layers, &dist, &next,
+              parent.data());
+          relaxations.fetch_add(work.relaxations, std::memory_order_relaxed);
           size_t l = chunk_changes[t];
           size_t c = chunk_exit[t];
           if (dist[l * m + c] == kInf) {
@@ -456,19 +421,17 @@ Result<DesignSchedule> SolveKAwareSegmented(
             return;
           }
           for (size_t stage = chunk.end; stage-- > chunk.begin;) {
-            schedule.configs[stage] = configs[c];
+            path[stage] = static_cast<ConfigId>(c);
             if (stage == chunk.begin) break;
-            const ChunkParent p =
+            const DpParent p =
                 parent[((stage - chunk.begin) * layers + l) * m + c];
             l = static_cast<size_t>(p.layer);
             c = static_cast<size_t>(p.config);
           }
         },
         budget);
-    for (size_t t = 0; t < num_c; ++t) {
-      relaxations = ChunkRelaxations(chunks[t].size(), chunk_layers[t], m);
-      local_stats.relaxations += relaxations;
-    }
+    local_stats.relaxations =
+        relaxations.load(std::memory_order_relaxed) + stitch_relaxations;
   }
   if (!rebuilt) {
     return best_static_fallback("deadline");
@@ -478,7 +441,13 @@ Result<DesignSchedule> SolveKAwareSegmented(
         "segmented k-aware rebuild could not reach the stitched cell");
   }
 
-  schedule.total_cost = EvaluateScheduleCost(problem, schedule.configs);
+  DesignSchedule schedule;
+  schedule.configs.reserve(n);
+  for (const ConfigId id : path) schedule.configs.push_back(configs[id]);
+  schedule.total_cost =
+      PricePath(matrix, path, init_trans.data(),
+                problem.final_config.has_value() ? final_trans.data()
+                                                 : nullptr);
   ReportProgress(progress, "segment.chunks", 1.0, schedule.total_cost);
   CDPD_LOG(logger, LogLevel::kInfo, "segment.end",
            LogField("cost", schedule.total_cost),

@@ -20,19 +20,22 @@ namespace cdpd {
 /// one; only read for OptimizerMethod::kOptimal with a finite k).
 struct SegmentSolveOptions {
   /// How many consecutive chunks to split the stage sequence into.
-  /// 0 = automatic (enough chunks that each holds ~min_chunk_stages
-  /// stages, capped at kMaxAutoChunks; short sequences resolve to 1);
+  /// 0 = automatic (see ResolveNumChunks: 1 when the relaxation kernel
+  /// takes its lattice path, otherwise enough chunks that each holds
+  /// ~kMinChunkStages stages, capped at kMaxAutoChunks; short sequences
+  /// resolve to 1);
   /// 1 = always monolithic (the segmented path is off);
-  /// >= 2 = forced (clamped to the stage count). The schedule and cost
-  /// are exact for every value — chunking trades redundant per-entry
-  /// chunk work for coarse-grained parallelism — and the chunk count
-  /// never depends on the thread count, so results stay identical for
-  /// any number of workers.
+  /// >= 2 = forced (clamped to the stage count). The cost is exact for
+  /// every value — chunking trades redundant per-entry chunk work for
+  /// coarse-grained parallelism — and the chunk count never depends on
+  /// the thread count, so results stay identical for any number of
+  /// workers.
   int num_chunks = 0;
-  /// Automatic mode's stages-per-chunk granularity. Below ~64 the
-  /// m-entry redundancy of the chunk DP outweighs the parallelism.
-  size_t min_chunk_stages = 128;
 
+  /// Automatic mode's stages-per-chunk granularity on scan spaces.
+  /// Below ~64 the m-entry redundancy of the chunk DP outweighs the
+  /// parallelism.
+  static constexpr size_t kMinChunkStages = 128;
   /// Cap on automatically chosen chunks (keeps the boundary stitch DP
   /// and the m-per-chunk entry redundancy negligible).
   static constexpr size_t kMaxAutoChunks = 32;
@@ -41,10 +44,14 @@ struct SegmentSolveOptions {
 };
 
 /// The chunk count SolveKAwareSegmented will use for `num_stages` DP
-/// stages under `options` (after clamping); <= 1 means the monolithic
-/// SolveKAware runs instead. Deterministic and thread-count-free.
+/// stages over `candidates` under `options` (after clamping); <= 1
+/// means the monolithic SolveKAware runs instead. Automatic mode picks
+/// 1 whenever ChooseRelaxPath(candidates) is the lattice: a lattice
+/// stage costs microseconds, and the segmented solver would re-run
+/// every chunk DP once per entry configuration. Deterministic and
+/// thread-count-free.
 size_t ResolveNumChunks(const SegmentSolveOptions& options,
-                        size_t num_stages);
+                        size_t num_stages, const CandidateSpace& candidates);
 
 /// Exact segment-parallel variant of SolveKAware for long stage
 /// sequences: the n stages are split into `num_chunks` consecutive
@@ -59,20 +66,21 @@ size_t ResolveNumChunks(const SegmentSolveOptions& options,
 /// chunk, where e_t = x_{t-1} and the boundary transition is charged
 /// to chunk t (its first stage enters at layer 1 unless it keeps e_t).
 /// Phase A computes, for every chunk and every entry, the exact
-/// minimum chunk cost per (changes, exit) cell — the same ascending
-/// argmin sweeps as SolveKAware, serial within a chunk task. Phase B's
+/// minimum chunk cost per (at most changes, exit) cell — the same
+/// RelaxKernel as SolveKAware, serial within a chunk task. Phase B's
 /// stitch DP minimizes over all (e_t, c_t) splits with Σ c_t <= k.
 /// Phase C re-solves each chunk for its chosen entry with a parent
-/// table and extracts the optimal path. Every phase scans in fixed
-/// ascending order, so the schedule is identical for any thread count;
-/// the cost equals the monolithic DP optimum (the reported total is
-/// re-evaluated through EvaluateScheduleCost, like every solver).
+/// table and extracts the optimal path. Every phase runs in a fixed
+/// order, so the schedule is identical for any thread count; the cost
+/// equals the monolithic DP optimum (the reported total is the path
+/// re-priced by PricePath, bit-identical to EvaluateScheduleCost).
 ///
 /// Compared to the monolithic DP this performs up to m x the relax
 /// work (one chunk DP per entry config) but parallelizes at chunk
-/// granularity — the monolithic DP's per-stage sweep over only m
-/// destination configs leaves every pool idle when m is small and n is
-/// huge, which is exactly the n = 10^6, m ~ 10 scaling regime.
+/// granularity — the monolithic DP's serial per-stage sweep leaves
+/// every pool idle, which matters on scan spaces when n is huge: the
+/// n = 10^6, m ~ 10 scaling regime. Lattice spaces resolve to one
+/// chunk in automatic mode (ResolveNumChunks).
 ///
 /// Anytime/memory semantics mirror SolveKAware coarsely: a budget
 /// expiry or a refused table reservation degrades to

@@ -41,7 +41,14 @@ struct SolveStats {
   /// DP states / graph nodes given a finite value (the k-aware and
   /// unconstrained DPs), or ranked-path tree nodes for ranking.
   int64_t nodes_expanded = 0;
-  /// Edge relaxations performed by the DP solvers.
+  /// Updates the DP relaxation kernel performed (core/relax_stage.h),
+  /// plus the segmented solver's stitch comparisons. Per stage and
+  /// destination cell: one stay-edge update; then per layer with
+  /// change edges, on the scan path one update per predecessor
+  /// (m - 1 per cell), on the lattice path u * 2^u per-bit min-plus
+  /// updates for the whole layer and one gathered comparison per cell.
+  /// So the count tracks the work done, not the graph's edge count
+  /// (ComputeKAwareGraphSize).
   int64_t relaxations = 0;
   /// Ranking only: source-to-destination paths enumerated.
   int64_t paths_enumerated = 0;

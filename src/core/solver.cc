@@ -222,7 +222,8 @@ Result<SolveResult> Solve(const DesignProblem& problem,
         result.unconstrained_cost = result.schedule.total_cost;
       } else {
         const size_t chunks =
-            ResolveNumChunks(options.segmented, active->num_segments());
+            ResolveNumChunks(options.segmented, active->num_segments(),
+                             active->candidates);
         if (chunks >= 2) {
           CDPD_ASSIGN_OR_RETURN(
               result.schedule,

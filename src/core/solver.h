@@ -92,9 +92,9 @@ struct SolveOptions {
 
   /// Segment-parallel solving of the k-aware DP (method == kOptimal
   /// with k set only; see core/segment_solver.h). The default
-  /// (num_chunks = 0, auto) engages chunking only when the stage
-  /// sequence is long enough to amortize it, so short solves are
-  /// byte-identical to the monolithic path.
+  /// (num_chunks = 0, auto) engages chunking only on scan spaces whose
+  /// stage sequence is long enough to amortize it, so short solves and
+  /// lattice-path solves are byte-identical to the monolithic path.
   SegmentSolveOptions segmented;
 
   /// Build a per-transition EXEC/TRANS attribution of the returned

@@ -1,8 +1,11 @@
 #include "core/unconstrained_optimizer.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <limits>
 
 #include "common/stopwatch.h"
+#include "core/relax_stage.h"
 
 namespace cdpd {
 
@@ -37,9 +40,11 @@ Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
   CDPD_LOG(logger, LogLevel::kInfo, "unconstrained.start",
            LogField("segments", n), LogField("candidates", m));
 
-  // Charge the matrix and the DP arrays (dist/next doubles plus the
-  // n x m parent table) before allocating either; a refusal degrades
-  // to the cheapest static schedule instead of blowing the budget.
+  // Charge the matrix and the DP arrays (dist/next doubles, the flat
+  // n x m parent table and the kernel's lattice scratch) before
+  // allocating either; a refusal degrades to the cheapest static
+  // schedule instead of blowing the budget.
+  const RelaxPath relax_path = ChooseRelaxPath(configs);
   ScopedReservation matrix_reservation = ScopedReservation::Try(
       tracker, MemComponent::kCostMatrix, CostMatrix::EstimateBytes(n, m));
   ScopedReservation dp_reservation;
@@ -47,7 +52,8 @@ Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
     dp_reservation = ScopedReservation::Try(
         tracker, MemComponent::kSequenceGraph,
         static_cast<int64_t>((2 * m) * sizeof(double) +
-                             n * m * sizeof(size_t)));
+                             n * m * sizeof(DpParent)) +
+            RelaxScratchBytes(configs, relax_path));
   }
   if (!matrix_reservation.ok() || !dp_reservation.ok()) {
     CDPD_LOG(logger, LogLevel::kWarn, "unconstrained.memory_limit",
@@ -65,6 +71,8 @@ Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
 
   // Parallel precompute; the DP below is pure table lookups.
   CostMatrix matrix;
+  std::vector<double> init_trans(m, 0.0);
+  std::vector<double> final_trans(m, 0.0);
   {
     CDPD_TRACE_SPAN(tracer, "unconstrained.precompute", "solver");
     CDPD_ASSIGN_OR_RETURN(
@@ -77,124 +85,89 @@ Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
         "budget expired during the what-if precompute, before any "
         "feasible schedule could be priced");
   }
+  ParallelFor(pool, 0, m, [&](size_t c) {
+    init_trans[c] = what_if.TransitionCost(problem.initial, configs[c]);
+    if (problem.final_config.has_value()) {
+      final_trans[c] = what_if.TransitionCost(configs[c], *problem.final_config);
+    }
+  });
+  const double* const final_or_null =
+      problem.final_config.has_value() ? final_trans.data() : nullptr;
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> dist(m);
-  std::vector<std::vector<size_t>> parent(n, std::vector<size_t>(m, 0));
+  // parent[stage * m + c]: the previous stage's config (layer 0).
+  std::vector<DpParent> parent(n * m);
 
   CDPD_TRACE_SPAN(tracer, "unconstrained.dp", "solver",
                   static_cast<int64_t>(n));
-  ParallelFor(pool, 0, m, [&](size_t c) {
-    dist[c] = what_if.TransitionCost(problem.initial, configs[c]) +
-              matrix.Exec(0, c);
-  });
+  for (size_t c = 0; c < m; ++c) dist[c] = init_trans[c] + matrix.Exec(0, c);
   std::vector<double> next(m, kInf);
-
-  const auto finish = [&](DesignSchedule done) -> DesignSchedule {
-    local_stats.wall_seconds = watch.ElapsedSeconds();
-    local_stats.costings = what_if.costings() - costings_before;
-    if (stats != nullptr) *stats = local_stats;
-    return done;
-  };
-  // Anytime fallback: the budget expired with the DP `last_stage`
-  // stages deep — freeze the cheapest completed prefix by holding its
-  // final configuration for the remaining stages. dist holds the
-  // stage-`last_stage` values and parent rows 1..last_stage are
-  // filled, so the frozen schedule is exactly a DP prefix plus a
-  // no-change tail (always feasible: the unconstrained problem has no
-  // change bound).
-  const auto freeze_prefix = [&](size_t last_stage) -> DesignSchedule {
+  RelaxKernel kernel(matrix, configs, /*layers=*/1, /*count_changes=*/false,
+                     relax_path);
+  std::vector<ConfigId> path(n);
+  // Holds the cheapest configuration after stage `last_stage` (plus an
+  // optional final transition) and walks the parents back from it.
+  const auto best_path = [&](size_t last_stage) {
     double best = kInf;
     size_t best_c = 0;
     for (size_t c = 0; c < m; ++c) {
       double cost = dist[c] + matrix.ExecRange(last_stage + 1, n, c);
-      if (problem.final_config.has_value()) {
-        cost += what_if.TransitionCost(configs[c], *problem.final_config);
-      }
+      if (final_or_null != nullptr) cost += final_trans[c];
       if (cost < best) {
         best = cost;
         best_c = c;
       }
     }
-    DesignSchedule frozen;
-    frozen.configs.assign(n, configs[best_c]);
+    std::fill(path.begin() + static_cast<std::ptrdiff_t>(last_stage),
+              path.end(), static_cast<ConfigId>(best_c));
     size_t c = best_c;
-    for (size_t s = last_stage + 1; s-- > 0;) {
-      frozen.configs[s] = configs[c];
-      c = parent[s][c];
+    for (size_t stage = last_stage; stage > 0; --stage) {
+      c = static_cast<size_t>(parent[stage * m + c].config);
+      path[stage - 1] = static_cast<ConfigId>(c);
     }
-    frozen.total_cost = EvaluateScheduleCost(problem, frozen.configs);
-    local_stats.deadline_hit = true;
-    local_stats.best_effort = true;
-    return frozen;
+    DesignSchedule done;
+    done.configs.reserve(n);
+    for (const ConfigId id : path) done.configs.push_back(configs[id]);
+    done.total_cost = PricePath(matrix, path, init_trans.data(), final_or_null);
+    return done;
+  };
+  const auto finish = [&](DesignSchedule done) -> DesignSchedule {
+    local_stats.nodes_expanded = static_cast<int64_t>(m) + kernel.reachable();
+    local_stats.relaxations = kernel.relaxations();
+    local_stats.wall_seconds = watch.ElapsedSeconds();
+    local_stats.costings = what_if.costings() - costings_before;
+    if (stats != nullptr) *stats = local_stats;
+    return done;
   };
 
   for (size_t stage = 1; stage < n; ++stage) {
     if (BudgetExpired(budget)) {
-      local_stats.nodes_expanded = static_cast<int64_t>(stage * m);
-      local_stats.relaxations =
-          static_cast<int64_t>(stage - 1) * static_cast<int64_t>(m * m);
+      // Anytime fallback: freeze the cheapest completed prefix by
+      // holding its final configuration for the remaining stages —
+      // always feasible, the unconstrained problem has no change bound.
       CDPD_LOG(logger, LogLevel::kWarn, "unconstrained.deadline",
                LogField("stage", stage), LogField("stages", n));
-      return finish(freeze_prefix(stage - 1));
+      local_stats.deadline_hit = true;
+      local_stats.best_effort = true;
+      return finish(best_path(stage - 1));
     }
     ReportProgress(progress, "unconstrained.dp",
                    static_cast<double>(stage) / static_cast<double>(n));
     CDPD_TRACE_SPAN(tracer, "unconstrained.stage", "solver",
                     static_cast<int64_t>(stage));
-    std::vector<size_t>& stage_parent = parent[stage];
-    const double* dist_data = dist.data();
-    ParallelFor(pool, 0, m, [&](size_t c) {
-      // Unit-stride sweep over the transposed TRANS row: for the fixed
-      // destination c, trans_into[p] == Trans(p, c).
-      const double* trans_into = matrix.TransInto(c);
-      double best = kInf;
-      size_t best_prev = 0;
-      for (size_t p = 0; p < m; ++p) {
-        const double cost = dist_data[p] + trans_into[p];
-        if (cost < best) {
-          best = cost;
-          best_prev = p;
-        }
-      }
-      next[c] = best + matrix.Exec(stage, c);
-      stage_parent[c] = best_prev;
-    });
+    kernel.RelaxStage(stage, dist.data(), next.data(),
+                      parent.data() + stage * m);
     std::swap(dist, next);
   }
-  local_stats.nodes_expanded = static_cast<int64_t>(n * m);
-  local_stats.relaxations =
-      static_cast<int64_t>(n - 1) * static_cast<int64_t>(m * m);
 
   // Destination: unconstrained, or a forced final transition.
-  double best = kInf;
-  size_t best_last = 0;
-  for (size_t c = 0; c < m; ++c) {
-    double cost = dist[c];
-    if (problem.final_config.has_value()) {
-      cost += what_if.TransitionCost(configs[c], *problem.final_config);
-    }
-    if (cost < best) {
-      best = cost;
-      best_last = c;
-    }
-  }
-
-  schedule.total_cost = best;
-  schedule.configs.resize(n);
-  size_t c = best_last;
-  for (size_t stage = n; stage-- > 0;) {
-    schedule.configs[stage] = configs[c];
-    c = parent[stage][c];
-  }
+  schedule = finish(best_path(n - 1));
   ReportProgress(progress, "unconstrained.dp", 1.0, schedule.total_cost);
   CDPD_LOG(logger, LogLevel::kInfo, "unconstrained.end",
            LogField("cost", schedule.total_cost),
            LogField("nodes_expanded", local_stats.nodes_expanded),
            LogField("relaxations", local_stats.relaxations));
-  local_stats.wall_seconds = watch.ElapsedSeconds();
-  local_stats.costings = what_if.costings() - costings_before;
-  if (stats != nullptr) *stats = local_stats;
   return schedule;
 }
 

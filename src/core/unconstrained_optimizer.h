@@ -23,11 +23,15 @@ namespace cdpd {
 ///
 /// which is exactly the O(|V| + |E|) DAG shortest path on the graph of
 /// Figure 1, in O(n * |candidates|^2) time (= O(n * 2^{2m}) when the
-/// candidate space is all subsets of m indexes).
+/// candidate space is all subsets of m indexes) — or O(n * u * 2^u)
+/// when the relaxation kernel takes its subset-lattice path
+/// (core/relax_stage.h).
 ///
-/// Precomputes the dense EXEC/TRANS matrices and relaxes each stage's
-/// configurations in parallel across `pool` when one is given; the
-/// result is identical for any thread count. With a `tracer` the solve
+/// Precomputes the dense EXEC/TRANS matrices (in parallel across
+/// `pool` when one is given) and relaxes each stage with the serial
+/// RelaxKernel in its one-layer mode; the result is identical for any
+/// thread count, and the reported cost is the chosen path re-priced in
+/// EvaluateScheduleCost's order (PricePath). With a `tracer` the solve
 /// records "unconstrained.precompute", "unconstrained.dp", and a
 /// "unconstrained.stage" span per DP stage.
 ///

@@ -365,6 +365,7 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
             }
           },
           budget);
+      matrix.SetIndexCosts(std::move(build_cost), std::move(drop_cost));
     } else {
       trans_complete = ParallelFor(
           pool, 0, m * m,

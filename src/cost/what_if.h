@@ -107,6 +107,19 @@ class CostMatrix {
     return trans_[from * num_configs_ + to];
   }
 
+  /// Per-universe-index build and drop costs of an exact-mask space:
+  /// index_build_costs()[i] = BuildCost(universe()[i]), likewise drop.
+  /// Every TRANS cell is the sum of these terms over the created and
+  /// dropped bits, which is what lets the DP kernel's lattice path
+  /// (core/relax_stage.h) price change edges without the m x m table.
+  /// Empty for fingerprint-mask spaces.
+  const std::vector<double>& index_build_costs() const { return build_; }
+  const std::vector<double>& index_drop_costs() const { return drop_; }
+  void SetIndexCosts(std::vector<double> build, std::vector<double> drop) {
+    build_ = std::move(build);
+    drop_ = std::move(drop);
+  }
+
   /// Builds the derived SoA tables (per-config EXEC prefix sums and
   /// the transposed TRANS matrix) from the raw cells. Must be called
   /// after the fill and before ExecRange/TransInto; PrecomputeCostMatrix
@@ -130,6 +143,8 @@ class CostMatrix {
   // exec_prefix_[(s) * m + c] = sum of exec over segments [0, s).
   std::vector<double> exec_prefix_;
   std::vector<double> trans_transposed_;  // [to * num_configs + from]
+  std::vector<double> build_;  // [universe index]
+  std::vector<double> drop_;   // [universe index]
 };
 
 /// The what-if oracle the design optimizers query: EXEC(S_i, C) for

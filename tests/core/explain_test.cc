@@ -137,9 +137,10 @@ TEST(ExplainTest, GoldenJsonRendering) {
             std::count(json.begin(), json.end(), ']'));
 }
 
-TEST(ExplainTest, SolvedScheduleAttributionIsExact) {
+/// The attribution invariants of one solved schedule.
+void ExpectSolvedAttributionIsExact(int32_t max_per_config) {
   auto fixture = MakeRandomProblem(/*seed=*/7, /*num_segments=*/4,
-                                   /*block_size=*/10);
+                                   /*block_size=*/10, max_per_config);
   SolveOptions options;
   options.method = OptimizerMethod::kOptimal;
   options.k = 2;
@@ -187,9 +188,21 @@ TEST(ExplainTest, SolvedScheduleAttributionIsExact) {
   }
 }
 
-TEST(ExplainTest, ConstrainedSolveReportsPredictedVsActualKAwareBytes) {
+TEST(ExplainTest, SolvedScheduleAttributionIsExact) {
+  // The paper's seven singletons (the scan path) and every subset of
+  // its six indexes (m = 64, the lattice path, whose DP sum adds in a
+  // different order than EvaluateScheduleCost).
+  for (int32_t max_per_config : {1, 6}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "max_indexes_per_config=" << max_per_config);
+    ExpectSolvedAttributionIsExact(max_per_config);
+  }
+}
+
+/// One solve's predicted-vs-actual k-aware table bytes.
+void ExpectPredictedVsActualKAwareBytes(int32_t max_per_config) {
   auto fixture = MakeRandomProblem(/*seed=*/7, /*num_segments=*/4,
-                                   /*block_size=*/10);
+                                   /*block_size=*/10, max_per_config);
   SolveOptions options;
   options.method = OptimizerMethod::kOptimal;
   options.k = 2;
@@ -221,6 +234,16 @@ TEST(ExplainTest, ConstrainedSolveReportsPredictedVsActualKAwareBytes) {
                       std::to_string(report.actual_kaware_bytes)),
             std::string::npos);
   EXPECT_EQ(json.find("\"kaware_bytes_ratio\": null"), std::string::npos);
+}
+
+TEST(ExplainTest, ConstrainedSolveReportsPredictedVsActualKAwareBytes) {
+  // The scan space, and the m = 64 lattice space whose prediction also
+  // carries the lattice scratch.
+  for (int32_t max_per_config : {1, 6}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "max_indexes_per_config=" << max_per_config);
+    ExpectPredictedVsActualKAwareBytes(max_per_config);
+  }
 }
 
 TEST(ExplainTest, UnconstrainedSolveReportsZeroGap) {

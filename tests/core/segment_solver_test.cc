@@ -4,6 +4,7 @@
 
 #include "common/thread_pool.h"
 #include "core/k_aware_graph.h"
+#include "core/relax_stage.h"
 #include "core/solver.h"
 #include "test_util.h"
 #include "workload/workload.h"
@@ -18,31 +19,41 @@ TEST(SegmentSolveOptionsTest, Validate) {
   EXPECT_TRUE(options.Validate().ok());
   options.num_chunks = -1;
   EXPECT_FALSE(options.Validate().ok());
-  options.num_chunks = 0;
-  options.min_chunk_stages = 0;
-  EXPECT_FALSE(options.Validate().ok());
+  options.num_chunks = 1;
+  EXPECT_TRUE(options.Validate().ok());
 }
 
 TEST(SegmentSolveOptionsTest, ResolveNumChunks) {
-  SegmentSolveOptions options;  // Auto, min_chunk_stages = 128.
+  // The paper's seven singleton configurations: a scan space.
+  const CandidateSpace scan = MakeRandomProblem(1, 1, 1)->problem.candidates;
+  ASSERT_EQ(ChooseRelaxPath(scan), RelaxPath::kScan);
+  SegmentSolveOptions options;  // Auto, kMinChunkStages = 128.
   // Too short to amortize chunking.
-  EXPECT_EQ(ResolveNumChunks(options, 0), 1u);
-  EXPECT_EQ(ResolveNumChunks(options, 100), 1u);
-  EXPECT_EQ(ResolveNumChunks(options, 255), 1u);
-  // Long enough: one chunk per ~min_chunk_stages stages.
-  EXPECT_EQ(ResolveNumChunks(options, 256), 2u);
-  EXPECT_EQ(ResolveNumChunks(options, 1280), 10u);
+  EXPECT_EQ(ResolveNumChunks(options, 0, scan), 1u);
+  EXPECT_EQ(ResolveNumChunks(options, 100, scan), 1u);
+  EXPECT_EQ(ResolveNumChunks(options, 255, scan), 1u);
+  // Long enough: one chunk per ~kMinChunkStages stages.
+  EXPECT_EQ(ResolveNumChunks(options, 256, scan), 2u);
+  EXPECT_EQ(ResolveNumChunks(options, 1280, scan), 10u);
   // Capped.
-  EXPECT_EQ(ResolveNumChunks(options, 1'000'000),
+  EXPECT_EQ(ResolveNumChunks(options, 1'000'000, scan),
             SegmentSolveOptions::kMaxAutoChunks);
+  // Every subset of the six paper indexes: the lattice path, where a
+  // stage is too cheap for chunking to pay at any length.
+  const CandidateSpace lattice =
+      MakeRandomProblem(1, 1, 1, /*max_indexes_per_config=*/6)
+          ->problem.candidates;
+  ASSERT_EQ(ChooseRelaxPath(lattice), RelaxPath::kLattice);
+  EXPECT_EQ(ResolveNumChunks(options, 1'000'000, lattice), 1u);
   // Monolithic off-switch.
   options.num_chunks = 1;
-  EXPECT_EQ(ResolveNumChunks(options, 1'000'000), 1u);
-  // Forced counts clamp to the stage count.
+  EXPECT_EQ(ResolveNumChunks(options, 1'000'000, scan), 1u);
+  // Forced counts clamp to the stage count, on either path.
   options.num_chunks = 4;
-  EXPECT_EQ(ResolveNumChunks(options, 100), 4u);
-  EXPECT_EQ(ResolveNumChunks(options, 3), 3u);
-  EXPECT_EQ(ResolveNumChunks(options, 1), 1u);
+  EXPECT_EQ(ResolveNumChunks(options, 100, scan), 4u);
+  EXPECT_EQ(ResolveNumChunks(options, 100, lattice), 4u);
+  EXPECT_EQ(ResolveNumChunks(options, 3, scan), 3u);
+  EXPECT_EQ(ResolveNumChunks(options, 1, scan), 1u);
 }
 
 TEST(SplitStagesBalancedTest, CoversExactlyAndBalances) {
