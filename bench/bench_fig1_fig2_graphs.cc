@@ -207,8 +207,8 @@ void RunDpThroughput(bench_util::BenchReport* report) {
                 cells, scan_cells, scan_cells > 0.0 ? cells / scan_cells : 0.0);
     if (u != 6) continue;
 
-    // Warm re-solve: a fresh engine (cold memo) over the same workload,
-    // so every reused cost comes from the persistent cache.
+    // Warm re-solve: a fresh engine over the same workload, so every
+    // reused cost comes from the persistent cache.
     WhatIfEngine warm_engine(&model, workload.statements, segments);
     DesignProblem warm_problem = problem;
     warm_problem.what_if = &warm_engine;

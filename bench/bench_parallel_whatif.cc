@@ -81,7 +81,7 @@ struct Run {
   SolveResult result;
 };
 
-/// Solves with `threads` workers on a FRESH what-if engine (cold memo
+/// Solves with `threads` workers on a FRESH what-if engine (no cost
 /// cache), so every run pays the full precompute and the wall times
 /// are comparable. `metrics`/`tracer` attach observability sinks to
 /// the solve (the determinism rows below prove they only observe);

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace cdpd {
 
@@ -189,6 +190,37 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+};
+
+/// A counter or histogram handle resolved from its registry on first
+/// use, so the series appears exactly when a per-request lookup would
+/// have created it; afterwards Get() is one atomic load. Thread-safe:
+/// the registry hands out stable pointers, so racing first uses store
+/// the same value.
+template <typename Metric>
+class LazyMetric {
+  static_assert(std::is_same_v<Metric, Counter> ||
+                std::is_same_v<Metric, Histogram>);
+
+ public:
+  /// The metric named `prefix` + `suffix` in `registry`.
+  Metric* Get(MetricsRegistry* registry, std::string_view prefix,
+              std::string_view suffix = {}) {
+    Metric* metric = metric_.load(std::memory_order_acquire);
+    if (metric != nullptr) return metric;
+    std::string name(prefix);
+    name += suffix;
+    if constexpr (std::is_same_v<Metric, Histogram>) {
+      metric = registry->histogram(name);
+    } else {
+      metric = registry->counter(name);
+    }
+    metric_.store(metric, std::memory_order_release);
+    return metric;
+  }
+
+ private:
+  std::atomic<Metric*> metric_{nullptr};
 };
 
 }  // namespace cdpd

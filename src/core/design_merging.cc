@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <span>
 
 #include "common/stopwatch.h"
 
@@ -15,6 +17,7 @@ struct Run {
   Configuration config;
   size_t begin = 0;  // First segment index.
   size_t end = 0;    // One past the last segment index.
+  std::span<const double> column;  // `config`'s shape-cost column.
 };
 
 std::vector<Run> BuildRuns(const std::vector<Configuration>& configs) {
@@ -23,7 +26,7 @@ std::vector<Run> BuildRuns(const std::vector<Configuration>& configs) {
     if (!runs.empty() && runs.back().config == configs[i]) {
       runs.back().end = i + 1;
     } else {
-      runs.push_back(Run{configs[i], i, i + 1});
+      runs.push_back(Run{configs[i], i, i + 1, {}});
     }
   }
   return runs;
@@ -102,6 +105,11 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
     return std::move(fallback).value();
   };
 
+  // Shape-cost columns of the candidates and of any initial-schedule
+  // configuration outside them; each run points at its own.
+  std::vector<std::vector<double>> candidate_columns;
+  ScheduleColumns other_columns(what_if);
+
   for (;;) {
     const int64_t changes = RunChanges(problem, runs);
     // Fraction of the excess changes merged away so far.
@@ -131,11 +139,24 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
       break;
     }
 
+    if (candidate_columns.empty()) {
+      // First round: price every candidate once.
+      candidate_columns.resize(problem.candidates.size());
+      ParallelFor(pool, 0, candidate_columns.size(), [&](size_t c) {
+        candidate_columns[c] = what_if.ShapeColumn(problem.candidates[c]);
+      });
+      for (Run& run : runs) {
+        const std::optional<ConfigId> id = problem.candidates.IdOf(run.config);
+        run.column = id.has_value()
+                         ? std::span<const double>(candidate_columns[*id])
+                         : other_columns.For(run.config);
+      }
+    }
+
     // Parallel phase: evaluate every (pair, replacement) penalty into
-    // a dense table (disjoint writes; the what-if memo cache is
-    // thread-safe). The winning cell is then picked by a serial scan
-    // in the serial iteration order, so ties break identically for
-    // any thread count.
+    // a dense table (disjoint writes; the columns are read-only). The
+    // winning cell is then picked by a serial scan in the serial
+    // iteration order, so ties break identically for any thread count.
     const size_t num_pairs = runs.size() - 1;
     const size_t num_cands = problem.candidates.size();
     // This round's penalty tables, released when the round ends. A
@@ -156,9 +177,9 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
           i == 0 ? problem.initial : runs[i - 1].config;
       const bool has_next = i + 2 < runs.size();
       double old_cost = what_if.TransitionCost(prev, left.config) +
-                        what_if.RangeCost(left.begin, left.end, left.config) +
+                        what_if.RangeCost(left.begin, left.end, left.column) +
                         what_if.TransitionCost(left.config, right.config) +
-                        what_if.RangeCost(right.begin, right.end, right.config);
+                        what_if.RangeCost(right.begin, right.end, right.column);
       old_cost += has_next
                       ? what_if.TransitionCost(right.config, runs[i + 2].config)
                       : ExitCost(problem, right.config);
@@ -172,10 +193,11 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
       const Configuration& prev =
           i == 0 ? problem.initial : runs[i - 1].config;
       const bool has_next = i + 2 < runs.size();
-      const Configuration& replacement = problem.candidates[cell % num_cands];
+      const size_t c = cell % num_cands;
+      const Configuration& replacement = problem.candidates[c];
       double new_cost =
           what_if.TransitionCost(prev, replacement) +
-          what_if.RangeCost(left.begin, right.end, replacement);
+          what_if.RangeCost(left.begin, right.end, candidate_columns[c]);
       new_cost += has_next
                       ? what_if.TransitionCost(replacement, runs[i + 2].config)
                       : ExitCost(problem, replacement);
@@ -187,18 +209,24 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
     double best_penalty = std::numeric_limits<double>::infinity();
     size_t best_pair = 0;
     Configuration best_replacement;
+    std::optional<size_t> best_cand;
     for (size_t cell = 0; cell < penalties.size(); ++cell) {
       if (penalties[cell] < best_penalty) {
         best_penalty = penalties[cell];
         best_pair = cell / num_cands;
-        best_replacement = problem.candidates[cell % num_cands];
+        best_cand = cell % num_cands;
+        best_replacement = problem.candidates[*best_cand];
       }
     }
 
     // Replace the chosen pair, then coalesce equal neighbours (this is
     // how a step can remove two changes when C' equals C_{i-1} or
     // C_{i+2}).
-    runs[best_pair].config = best_replacement;
+    runs[best_pair].column = best_cand.has_value()
+                                 ? std::span<const double>(
+                                       candidate_columns[*best_cand])
+                                 : other_columns.For(best_replacement);
+    runs[best_pair].config = std::move(best_replacement);
     runs[best_pair].end = runs[best_pair + 1].end;
     runs.erase(runs.begin() + static_cast<int64_t>(best_pair) + 1);
     ++local_stats.merge_steps;

@@ -82,11 +82,12 @@ Result<DesignSchedule> BestStaticSchedule(const DesignProblem& problem,
 double EvaluateScheduleCost(const DesignProblem& problem,
                             const std::vector<Configuration>& configs) {
   const WhatIfEngine& what_if = *problem.what_if;
+  ScheduleColumns columns(what_if);
   double cost = 0.0;
   const Configuration* previous = &problem.initial;
   for (size_t i = 0; i < configs.size(); ++i) {
     cost += what_if.TransitionCost(*previous, configs[i]);
-    cost += what_if.SegmentCost(i, configs[i]);
+    cost += what_if.SegmentCost(i, columns.For(configs[i]));
     previous = &configs[i];
   }
   if (problem.final_config.has_value()) {

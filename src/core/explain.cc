@@ -92,6 +92,7 @@ ExplainReport BuildExplainReport(const DesignProblem& problem,
   // TRANS/EXEC order so `total_cost` reproduces the solver-reported
   // schedule cost bit-for-bit (floating-point addition is order
   // sensitive; the side totals use their own accumulators).
+  ScheduleColumns columns(what_if);
   double total = 0.0;
   double exec_total = 0.0;
   double trans_total = 0.0;
@@ -100,7 +101,7 @@ ExplainReport BuildExplainReport(const DesignProblem& problem,
     const double trans = what_if.TransitionCost(*previous, configs[i]);
     total += trans;
     trans_total += trans;
-    const double exec = what_if.SegmentCost(i, configs[i]);
+    const double exec = what_if.SegmentCost(i, columns.For(configs[i]));
     total += exec;
     exec_total += exec;
     previous = &configs[i];
@@ -143,9 +144,12 @@ ExplainReport BuildExplainReport(const DesignProblem& problem,
         run_end > first_segment ? segments[run_end - 1].end : t.first_statement;
     // Savings versus having stayed in `from`, with the earliest
     // statement by which they recoup TRANS.
+    const std::span<const double> from_column = columns.For(from);
+    const std::span<const double> to_column = columns.For(to);
     double cumulative = 0.0;
     for (size_t j = first_segment; j < run_end; ++j) {
-      cumulative += what_if.SegmentCost(j, from) - what_if.SegmentCost(j, to);
+      cumulative += what_if.SegmentCost(j, from_column) -
+                    what_if.SegmentCost(j, to_column);
       if (!t.break_even_statement.has_value() && cumulative >= t.trans_cost) {
         t.break_even_statement = segments[j].end;
       }

@@ -124,9 +124,9 @@ struct ExplainReport {
 };
 
 /// Builds the attribution for `schedule` against `problem`'s oracle.
-/// Pure read-side analysis: costs every (segment, config) pair of the
-/// schedule through the memoized what-if cache (cheap after a solve),
-/// never mutates the schedule, and is deterministic. `method`,
+/// Pure read-side analysis: prices one shape-cost column per distinct
+/// configuration the schedule visits (|shapes| costings each), never
+/// mutates the schedule, and is deterministic. `method`,
 /// `method_detail`, `k`, `stats`, and `unconstrained_cost` are carried
 /// through from the solve that produced the schedule.
 ExplainReport BuildExplainReport(const DesignProblem& problem,

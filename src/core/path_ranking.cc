@@ -223,8 +223,8 @@ Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
   // exhaustion, or budget expiry. Degrade to the cheapest feasible
   // static schedule rather than failing: a flagged suboptimal answer
   // beats no answer, and the caller can read best_effort/deadline_hit
-  // to tell. (Cost note: the static scan reuses the memoized oracle
-  // the precompute already filled, so it is pure cache hits.)
+  // to tell. (Cost note: the static scan prices one shape-cost column
+  // per candidate, |shapes| costings each.)
   const bool expired = BudgetExpired(budget);
   CDPD_LOG(logger, LogLevel::kWarn, "ranking.fallback",
            LogField("paths_enumerated", local_stats.paths_enumerated),

@@ -22,11 +22,6 @@ Result<SequenceGraph> SequenceGraph::Build(const DesignProblem& problem,
     return Status::InvalidArgument(
         "cost matrix shape does not match the design problem");
   }
-  const auto exec = [&](size_t stage, size_t c) {
-    return matrix != nullptr
-               ? matrix->Exec(stage, c)
-               : problem.what_if->SegmentCost(stage, problem.candidates[c]);
-  };
   const auto trans = [&](size_t p, size_t c) {
     return matrix != nullptr
                ? matrix->Trans(p, c)
@@ -76,6 +71,20 @@ Result<SequenceGraph> SequenceGraph::Build(const DesignProblem& problem,
     graph.AddEdge(graph.source(), graph.destination_, weight);
     return graph;
   }
+
+  // Without a matrix, EXEC comes from one shape-cost column per
+  // candidate, priced once.
+  std::vector<std::vector<double>> columns;
+  if (matrix == nullptr) {
+    columns.reserve(m);
+    for (const Configuration& config : problem.candidates) {
+      columns.push_back(what_if.ShapeColumn(config));
+    }
+  }
+  const auto exec = [&](size_t stage, size_t c) {
+    return matrix != nullptr ? matrix->Exec(stage, c)
+                             : what_if.SegmentCost(stage, columns[c]);
+  };
 
   // Source -> stage 1.
   for (size_t c = 0; c < m; ++c) {

@@ -355,8 +355,8 @@ Result<SolveResult> Solve(const DesignProblem& problem,
   tracker.PublishTo(obs.metrics);
   SampleProcessMemory(obs.metrics);
   // The attribution reads the finalized stats, so build it last. Pure
-  // read-side pass over the memoized oracle; the schedule, cost, and
-  // stats above are already fixed.
+  // read-side pass over the oracle; the schedule, cost, and stats above
+  // are already fixed.
   if (options.explain) {
     result.explain = BuildExplainReport(
         problem, result.schedule, OptimizerMethodToString(options.method),

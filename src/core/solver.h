@@ -99,8 +99,8 @@ struct SolveOptions {
 
   /// Build a per-transition EXEC/TRANS attribution of the returned
   /// schedule into SolveResult::explain (see core/explain.h). Costs
-  /// one extra pass over the schedule through the memoized what-if
-  /// cache after the solve; never changes the schedule.
+  /// one extra pass over the schedule after the solve (|shapes|
+  /// costings per distinct configuration); never changes the schedule.
   bool explain = false;
 
   /// Wall-clock budget for the whole solve (measured from Solve()

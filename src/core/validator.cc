@@ -18,6 +18,9 @@ Status ValidateSchedule(const DesignProblem& problem,
   const int64_t rows = problem.what_if->model().num_rows();
   for (size_t i = 0; i < schedule.configs.size(); ++i) {
     const Configuration& config = schedule.configs[i];
+    // Checked once per run of equal configurations: the run's first
+    // segment is the first one that could offend.
+    if (i > 0 && config == schedule.configs[i - 1]) continue;
     if (std::find(problem.candidates.begin(), problem.candidates.end(),
                   config) == problem.candidates.end()) {
       return Status::InvalidArgument("segment " + std::to_string(i + 1) +

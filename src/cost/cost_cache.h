@@ -13,14 +13,12 @@
 namespace cdpd {
 
 /// Persistent what-if cost cache: (statement fingerprint, configuration
-/// bitmask) -> per-statement estimated cost. Unlike the WhatIfEngine's
-/// per-instance memo (which dies with the engine and hashes whole
-/// Configuration objects), a CostCache outlives individual Solve()
-/// calls: a caller owns one, passes it via SolveOptions::cost_cache,
-/// and every solve over the same cost model and candidate universe
-/// reuses the costs of earlier solves — a warm re-solve of an
-/// unchanged workload answers essentially every what-if probe from the
-/// cache and its latency is dominated by the DP, not costing.
+/// bitmask) -> per-statement estimated cost. A CostCache outlives
+/// individual Solve() calls and engines: a caller owns one, passes it
+/// via SolveOptions::cost_cache, and every solve over the same cost
+/// model and candidate universe reuses the costs of earlier solves — a
+/// warm re-solve of an unchanged workload answers every shape-cost
+/// column entry from the cache and costs nothing.
 ///
 /// Keys. The statement fingerprint identifies a literal-erased
 /// statement *shape* (the unit the what-if profiles collapse segments

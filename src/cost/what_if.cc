@@ -1,10 +1,9 @@
 #include "cost/what_if.h"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
-#include <chrono>
 #include <cmath>
+#include <map>
 #include <optional>
 #include <string>
 
@@ -27,6 +26,22 @@ BoundStatement ShapeOf(const BoundStatement& statement) {
     shape.insert_values.assign(shape.insert_values.size(), 0);
   }
   return shape;
+}
+
+/// ShapeOf(statement) == shape for a `shape` ShapeOf produced, without
+/// building the statement's shape.
+bool HasShape(const BoundStatement& statement, const BoundStatement& shape) {
+  const bool range = statement.type == StatementType::kSelectRange;
+  return statement.type == shape.type &&
+         statement.select_column == shape.select_column &&
+         statement.where_column == shape.where_column &&
+         statement.set_column == shape.set_column &&
+         (range ? statement.where_hi - statement.where_lo == shape.where_hi
+                : statement.where_lo == shape.where_lo &&
+                      statement.where_hi == shape.where_hi) &&
+         (statement.type == StatementType::kInsert
+              ? statement.insert_values.size() == shape.insert_values.size()
+              : statement.insert_values == shape.insert_values);
 }
 
 /// 64-bit FNV-1a identity of a literal-erased statement shape — the
@@ -76,109 +91,102 @@ WhatIfEngine::WhatIfEngine(const CostModel* model,
                            std::span<const BoundStatement> statements,
                            std::vector<Segment> segments)
     : model_(model), segments_(std::move(segments)) {
-  profiles_.resize(segments_.size());
-  for (size_t s = 0; s < segments_.size(); ++s) {
-    const Segment& segment = segments_[s];
+  profile_begin_.reserve(segments_.size() + 1);
+  profile_begin_.push_back(0);
+  // Workload shapes by fingerprint, with a full equality check so a
+  // fingerprint collision cannot merge distinct shapes. Shape ids are
+  // assigned in first-appearance (= statement) order.
+  std::multimap<uint64_t, uint32_t> by_fingerprint;
+  for (const Segment& segment : segments_) {
     assert(segment.begin <= segment.end && segment.end <= statements.size());
-    std::vector<ProfileEntry>& profile = profiles_[s];
+    const size_t first = profile_entries_.size();
     for (size_t i = segment.begin; i < segment.end; ++i) {
-      const BoundStatement shape = ShapeOf(statements[i]);
-      bool found = false;
-      for (ProfileEntry& entry : profile) {
-        if (entry.representative == shape) {
-          ++entry.count;
-          found = true;
-          break;
-        }
+      const BoundStatement& statement = statements[i];
+      size_t e = first;
+      while (e < profile_entries_.size() &&
+             !HasShape(statement,
+                       workload_profile_[profile_entries_[e].shape]
+                           .representative)) {
+        ++e;
       }
-      if (!found) {
-        profile.push_back(ProfileEntry{shape, 1, ShapeFingerprint(shape)});
+      if (e < profile_entries_.size()) {
+        ++profile_entries_[e].count;
+        continue;
       }
+      const BoundStatement shape = ShapeOf(statement);
+      const uint64_t fingerprint = ShapeFingerprint(shape);
+      auto [it, last] = by_fingerprint.equal_range(fingerprint);
+      while (it != last &&
+             !(workload_profile_[it->second].representative == shape)) {
+        ++it;
+      }
+      uint32_t id = 0;
+      if (it != last) {
+        id = it->second;
+      } else {
+        id = static_cast<uint32_t>(workload_profile_.size());
+        by_fingerprint.emplace(fingerprint, id);
+        workload_profile_.push_back(WorkloadShape{shape, 0, fingerprint});
+      }
+      profile_entries_.push_back(ProfileEntry{id, 1});
     }
+    profile_begin_.push_back(profile_entries_.size());
   }
-  // Workload-wide profile: the per-segment profiles merged by
-  // fingerprint (with a full equality check so a fingerprint collision
-  // cannot merge distinct shapes), keeping first-appearance order —
-  // segment order, then within-segment profile order — so the profile
-  // is deterministic for a given statement sequence.
-  std::unordered_map<uint64_t, std::vector<size_t>> by_fingerprint;
-  for (const std::vector<ProfileEntry>& profile : profiles_) {
-    for (const ProfileEntry& entry : profile) {
-      bool merged = false;
-      for (const size_t at : by_fingerprint[entry.fingerprint]) {
-        if (workload_profile_[at].representative == entry.representative) {
-          workload_profile_[at].count += entry.count;
-          merged = true;
-          break;
-        }
-      }
-      if (!merged) {
-        by_fingerprint[entry.fingerprint].push_back(workload_profile_.size());
-        workload_profile_.push_back(WorkloadShape{
-            entry.representative, entry.count, entry.fingerprint});
-      }
-    }
+  for (const ProfileEntry& entry : profile_entries_) {
+    workload_profile_[entry.shape].count += entry.count;
+  }
+}
+
+void WhatIfEngine::CountCostings(int64_t costed) const {
+  if (costed == 0) return;
+  costings_.fetch_add(costed, std::memory_order_relaxed);
+  if (Counter* sink = metrics_costings_.load(std::memory_order_relaxed)) {
+    sink->Add(costed);
   }
 }
 
 double WhatIfEngine::ShapeCost(const WorkloadShape& shape,
                                const Configuration& config) const {
-  costings_.fetch_add(1, std::memory_order_relaxed);
-  if (Counter* sink = metrics_costings_.load(std::memory_order_relaxed)) {
-    sink->Add(1);
-  }
+  CountCostings(1);
   return model_->StatementCost(shape.representative, config);
 }
 
-double WhatIfEngine::ComputeSegmentCost(size_t segment,
-                                        const Configuration& config) const {
-  Histogram* const latency_sink =
-      metrics_segment_cost_us_.load(std::memory_order_relaxed);
-  const auto start = latency_sink != nullptr
-                         ? std::chrono::steady_clock::now()
-                         : std::chrono::steady_clock::time_point{};
-  double cost = 0.0;
+void WhatIfEngine::FillColumn(const Configuration& config,
+                              uint64_t config_mask, CostCache* cache,
+                              ResourceTracker* tracker,
+                              std::span<double> column) const {
   int64_t costed = 0;
-  for (const ProfileEntry& entry : profiles_[segment]) {
-    cost += static_cast<double>(entry.count) *
-            model_->StatementCost(entry.representative, config);
+  for (size_t s = 0; s < workload_profile_.size(); ++s) {
+    const WorkloadShape& shape = workload_profile_[s];
+    if (cache != nullptr &&
+        cache->Lookup(shape.fingerprint, config_mask, &column[s])) {
+      continue;
+    }
+    // A cached value is the exact double a miss computed, so a column
+    // is bit-identical however the hit/miss pattern falls.
+    column[s] = model_->StatementCost(shape.representative, config);
+    if (cache != nullptr) {
+      cache->Insert(shape.fingerprint, config_mask, column[s], tracker);
+    }
     ++costed;
   }
-  costings_.fetch_add(costed, std::memory_order_relaxed);
-  if (Counter* sink = metrics_costings_.load(std::memory_order_relaxed)) {
-    sink->Add(costed);
-  }
-  if (latency_sink != nullptr) {
-    latency_sink->Record(std::chrono::duration<double, std::micro>(
-                             std::chrono::steady_clock::now() - start)
-                             .count());
-  }
-  return cost;
+  CountCostings(costed);
 }
 
-double WhatIfEngine::CachedSegmentCost(size_t segment,
-                                       const Configuration& config,
-                                       uint64_t config_mask, CostCache* cache,
-                                       ResourceTracker* tracker) const {
+std::vector<double> WhatIfEngine::ShapeColumn(
+    const Configuration& config) const {
+  std::vector<double> column(workload_profile_.size());
+  FillColumn(config, 0, nullptr, nullptr, column);
+  return column;
+}
+
+double WhatIfEngine::SegmentCost(size_t segment,
+                                 std::span<const double> column) const {
+  assert(segment < segments_.size());
+  assert(column.size() == workload_profile_.size());
   double cost = 0.0;
-  int64_t costed = 0;
-  for (const ProfileEntry& entry : profiles_[segment]) {
-    double statement_cost = 0.0;
-    if (!cache->Lookup(entry.fingerprint, config_mask, &statement_cost)) {
-      statement_cost = model_->StatementCost(entry.representative, config);
-      cache->Insert(entry.fingerprint, config_mask, statement_cost, tracker);
-      ++costed;
-    }
-    // Summing in profile order, like ComputeSegmentCost: a cached
-    // value is the exact double a miss computed, so the assembled cell
-    // is bit-identical however the hit/miss pattern falls.
-    cost += static_cast<double>(entry.count) * statement_cost;
-  }
-  if (costed > 0) {
-    costings_.fetch_add(costed, std::memory_order_relaxed);
-    if (Counter* sink = metrics_costings_.load(std::memory_order_relaxed)) {
-      sink->Add(costed);
-    }
+  for (const ProfileEntry& entry : Profile(segment)) {
+    cost += static_cast<double>(entry.count) * column[entry.shape];
   }
   return cost;
 }
@@ -186,34 +194,36 @@ double WhatIfEngine::CachedSegmentCost(size_t segment,
 double WhatIfEngine::SegmentCost(size_t segment,
                                  const Configuration& config) const {
   assert(segment < segments_.size());
-  CacheShard& shard = ShardFor(segment, config);
-  // The shard lock is held across the (pure) computation so each
-  // distinct (segment, config) pair is costed exactly once — costings()
-  // is then independent of the thread count. Distinct pairs land on
-  // distinct shards with high probability, so concurrent probes still
-  // proceed in parallel.
-  std::lock_guard<std::mutex> lock(shard.mu);
-  CacheKey key{segment, config};
-  if (auto it = shard.memo.find(key); it != shard.memo.end()) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    if (Counter* sink = metrics_cache_hits_.load(std::memory_order_relaxed)) {
-      sink->Add(1);
-    }
-    return it->second;
+  const std::span<const ProfileEntry> profile = Profile(segment);
+  double cost = 0.0;
+  for (const ProfileEntry& entry : profile) {
+    cost += static_cast<double>(entry.count) *
+            model_->StatementCost(workload_profile_[entry.shape].representative,
+                                  config);
   }
-  const double cost = ComputeSegmentCost(segment, config);
-  shard.memo.emplace(std::move(key), cost);
+  CountCostings(static_cast<int64_t>(profile.size()));
   return cost;
 }
 
 double WhatIfEngine::RangeCost(size_t begin, size_t end,
-                               const Configuration& config) const {
+                               std::span<const double> column) const {
   assert(begin <= end && end <= segments_.size());
   double cost = 0.0;
   for (size_t s = begin; s < end; ++s) {
-    cost += SegmentCost(s, config);
+    cost += SegmentCost(s, column);
   }
   return cost;
+}
+
+std::span<const double> ScheduleColumns::For(const Configuration& config) {
+  if (last_ < columns_.size() && columns_[last_].first == config) {
+    return columns_[last_].second;
+  }
+  for (last_ = 0; last_ < columns_.size(); ++last_) {
+    if (columns_[last_].first == config) return columns_[last_].second;
+  }
+  columns_.emplace_back(config, engine_.ShapeColumn(config));
+  return columns_.back().second;
 }
 
 namespace {
@@ -254,7 +264,7 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
   CostMatrix matrix(n, m);
   // The persistent cache is sound only while config masks are exact
   // bijections; with fingerprint masks (universe > 64) it is skipped
-  // and the fill runs through the engine memo exactly as before.
+  // and every column entry is costed.
   CostCache* cache =
       (cost_cache != nullptr && candidates.exact_masks()) ? cost_cache
                                                           : nullptr;
@@ -273,55 +283,35 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
            LogField("cost_cache", cache != nullptr));
   NonFiniteCell bad_exec;
   NonFiniteCell bad_trans;
-  const auto fill_exec = [&](size_t i) {
-    const size_t segment = i / m;
-    const size_t config = i % m;
-    const double cost =
-        cache != nullptr
-            ? CachedSegmentCost(segment, candidates[config],
-                                candidates.mask(config), cache, tracker)
-            : SegmentCost(segment, candidates[config]);
-    if (!std::isfinite(cost)) bad_exec.Record(i);
-    matrix.MutableExec(segment, config) = cost;
-  };
-  // EXEC over all (segment, config) pairs: each flattened index writes
-  // one disjoint matrix cell, so the fill is race-free and the values
-  // are identical for any thread count. With a tracer or progress
-  // callback attached the same cells are filled through coarser work
-  // shards (one span / one progress update each); either way every
-  // cell computes the same value.
-  bool complete = true;
-  const bool sharded = tracer != nullptr || progress != nullptr;
-  if (!sharded) {
-    complete = ParallelFor(pool, 0, n * m, fill_exec, budget);
-  } else {
+  // EXEC, one configuration at a time: price its shape-cost column,
+  // then its n cells as profile dot products. Each configuration
+  // writes only its own cells and probes only its own (shape, config)
+  // pairs, so values and costings are identical for any thread count.
+  std::atomic<size_t> configs_done{0};
+  bool complete = false;
+  {
     CDPD_TRACE_SPAN(tracer, "whatif.exec_matrix", "whatif",
                     static_cast<int64_t>(n * m));
-    const size_t threads = static_cast<size_t>(
-        std::max(1, pool == nullptr ? 1 : pool->num_threads()));
-    const size_t num_shards =
-        std::min(n * m, std::max<size_t>(1, threads * 4));
-    const size_t per_shard = (n * m + num_shards - 1) / num_shards;
-    std::atomic<size_t> shards_done{0};
     complete = ParallelFor(
-        pool, 0, num_shards,
-        [&](size_t shard) {
-          CDPD_TRACE_SPAN(tracer, "whatif.exec_shard", "whatif",
-                          static_cast<int64_t>(shard));
-          const size_t lo = shard * per_shard;
-          const size_t hi = std::min(n * m, lo + per_shard);
-          for (size_t i = lo; i < hi; ++i) fill_exec(i);
-          // Reported from whichever worker finishes the shard — the
-          // callback contract requires thread safety.
+        pool, 0, m,
+        [&](size_t config) {
+          std::vector<double> column(workload_profile_.size());
+          FillColumn(candidates[config],
+                     cache != nullptr ? candidates.mask(config) : 0, cache,
+                     tracker, column);
+          for (size_t segment = 0; segment < n; ++segment) {
+            const double cost = SegmentCost(segment, column);
+            if (!std::isfinite(cost)) bad_exec.Record(segment * m + config);
+            matrix.MutableExec(segment, config) = cost;
+          }
           const size_t done =
-              shards_done.fetch_add(1, std::memory_order_relaxed) + 1;
+              configs_done.fetch_add(1, std::memory_order_relaxed) + 1;
           ReportProgress(progress, "whatif.precompute",
-                         static_cast<double>(done) /
-                             static_cast<double>(num_shards));
+                         static_cast<double>(done) / static_cast<double>(m));
         },
         budget);
   }
-  // TRANS over all candidate pairs (pure model arithmetic; no memo).
+  // TRANS over all candidate pairs (pure model arithmetic).
   {
     CDPD_TRACE_SPAN(tracer, "whatif.trans_matrix", "whatif",
                     static_cast<int64_t>(m * m));
@@ -412,27 +402,14 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
   }
   CDPD_LOG(logger, LogLevel::kInfo, "whatif.precompute.end",
            LogField("complete", complete),
-           LogField("costings", costings()),
-           LogField("cache_hits", cache_hits()));
+           LogField("costings", costings()));
   return matrix;
 }
 
 void WhatIfEngine::SetMetrics(MetricsRegistry* registry) const {
   if constexpr (!kMetricsCompiledIn) return;
-  if (registry == nullptr) {
-    metrics_costings_.store(nullptr, std::memory_order_relaxed);
-    metrics_cache_hits_.store(nullptr, std::memory_order_relaxed);
-    metrics_segment_cost_us_.store(nullptr, std::memory_order_relaxed);
-    return;
-  }
-  // The registry hands out stable pointers, so concurrent attaches of
-  // the same registry store identical values.
-  metrics_costings_.store(registry->counter("whatif.costings"),
-                          std::memory_order_relaxed);
-  metrics_cache_hits_.store(registry->counter("whatif.cache_hits"),
-                            std::memory_order_relaxed);
-  metrics_segment_cost_us_.store(
-      registry->histogram("whatif.segment_cost_us"),
+  metrics_costings_.store(
+      registry != nullptr ? registry->counter("whatif.costings") : nullptr,
       std::memory_order_relaxed);
 }
 

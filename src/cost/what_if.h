@@ -1,12 +1,11 @@
 #ifndef CDPD_COST_WHAT_IF_H_
 #define CDPD_COST_WHAT_IF_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <mutex>
+#include <deque>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "advisor/candidate_space.h"
@@ -149,28 +148,28 @@ class CostMatrix {
 
 /// The what-if oracle the design optimizers query: EXEC(S_i, C) for
 /// workload segments S_i and hypothetical configurations C, plus
-/// TRANS(C, C'). Two optimizations make the optimizers fast:
+/// TRANS(C, C'). A point statement's estimated cost depends only on its
+/// shape (type and columns), not on its literal, so the engine factors
+/// the workload by shape:
 ///
-///  * per-segment statement *profiles* — a point statement's estimated
-///    cost depends only on its shape (type and columns), not on its
-///    literal, so a segment of 500 queries collapses into a handful of
-///    (shape, count) pairs, each carrying a 64-bit shape fingerprint;
-///  * per-(segment, configuration) memoization across the many times
-///    the graph algorithms revisit the same node.
+///  * the workload profile — every distinct literal-erased shape, once;
+///  * per-segment profiles — (workload shape id, count) pairs, so a
+///    segment of 500 queries collapses into a handful of entries;
+///  * shape-cost columns — for one configuration C, the cost of every
+///    workload shape under C (ShapeColumn). EXEC(S_i, C) is then the
+///    profile-order dot product of segment i's profile with C's
+///    column, so any number of segments is priced from |shapes| model
+///    probes.
 ///
-/// Thread-safe: the memo cache is sharded across kCacheShards maps,
-/// each behind its own mutex, and the counters are atomic. A cost is
-/// computed exactly once per distinct (segment, configuration) pair —
-/// the owning shard's lock is held across the computation — so
-/// costings() matches a serial run whatever the thread count. For the
-/// hot solver loops, prefer PrecomputeCostMatrix(): it fills the full
-/// n × |candidates| EXEC matrix (and the |candidates|² TRANS matrix)
-/// in parallel up front, after which the solvers touch only the dense
-/// read-only tables.
+/// Immutable after construction apart from its atomic counters, so it
+/// is safe to share across threads without locks. The solvers' hot
+/// loops read the dense tables PrecomputeCostMatrix() builds from one
+/// column per candidate configuration.
 class WhatIfEngine {
  public:
-  /// `model` must outlive the engine. `statements` are copied into the
-  /// profiles; `segments` define the stages S_1..S_n.
+  /// `model` must outlive the engine. `statements` are read once (the
+  /// engine keeps only their distinct shapes); `segments` define the
+  /// stages S_1..S_n.
   WhatIfEngine(const CostModel* model,
                std::span<const BoundStatement> statements,
                std::vector<Segment> segments);
@@ -191,19 +190,35 @@ class WhatIfEngine {
   }
 
   /// StatementCost(shape.representative, config), counted as one
-  /// what-if costing (it is one model probe, same as the profile
-  /// entries behind SegmentCost). Not memoized — callers (dominance
-  /// pruning) probe each (shape, config) pair once.
+  /// what-if costing.
   double ShapeCost(const WorkloadShape& shape,
                    const Configuration& config) const;
 
-  /// EXEC(S_i, config), memoized. Safe to call concurrently.
+  /// The shape-cost column of `config`: column[s] is
+  /// StatementCost(workload_profile()[s].representative, config).
+  /// |workload_profile()| costings.
+  std::vector<double> ShapeColumn(const Configuration& config) const;
+
+  /// EXEC(S_segment, C) from C's shape-cost column: the sum of
+  /// count x column[shape] over the segment's profile in
+  /// first-appearance order. No costings.
+  double SegmentCost(size_t segment, std::span<const double> column) const;
+
+  /// EXEC(S_segment, config), costing only the segment's own shapes
+  /// (one costing per profile entry); the same double as the column
+  /// form. For one-off probes of a configuration that prices a single
+  /// segment — sweeps over many segments should take a column.
   double SegmentCost(size_t segment, const Configuration& config) const;
 
-  /// EXEC(S_begin ∪ ... ∪ S_{end-1}, config) — the merged-segment cost
-  /// the sequential-merging heuristic needs. Not memoized (sums the
-  /// memoized per-segment costs).
-  double RangeCost(size_t begin, size_t end, const Configuration& config) const;
+  /// EXEC(S_begin ∪ ... ∪ S_{end-1}, C): the per-segment costs summed
+  /// forward in segment order.
+  double RangeCost(size_t begin, size_t end,
+                   std::span<const double> column) const;
+  /// As above, pricing `config`'s column first.
+  double RangeCost(size_t begin, size_t end,
+                   const Configuration& config) const {
+    return RangeCost(begin, end, ShapeColumn(config));
+  }
 
   /// TRANS(from, to), forwarded to the cost model.
   double TransitionCost(const Configuration& from,
@@ -213,13 +228,18 @@ class WhatIfEngine {
 
   /// Fills the dense EXEC matrix over all (segment, ConfigId) pairs
   /// and the TRANS matrix over all ConfigId pairs of the pinned
-  /// `candidates` space, fanning the what-if probes out across `pool`
+  /// `candidates` space, fanning the configurations out across `pool`
   /// (serial when pool is null), then finalizes the SoA tables (prefix
   /// sums, transposed TRANS). This is the single enumeration entry
   /// point: the solvers never cost materialized Configuration vectors.
-  /// Results are identical for any thread count, with or without
-  /// `tracer`: tracing only changes the fan-out granularity (one span
-  /// per work shard) and observes timestamps, never values.
+  ///
+  /// Each configuration's shape-cost column is priced once — every
+  /// (shape, configuration) pair is one costing, or one CostCache
+  /// probe — and then that configuration's n EXEC cells are the
+  /// profile dot products, so the fill is O(|shapes| x m) probes plus
+  /// O(nnz x m) arithmetic, nnz being the total number of per-segment
+  /// profile entries. Results, and costings(), are identical for any
+  /// thread count, with or without `tracer` or `progress`.
   ///
   /// With exact masks (candidates.exact_masks()), the TRANS matrix is
   /// computed additively from per-universe-index build/drop costs via
@@ -237,24 +257,22 @@ class WhatIfEngine {
   /// error is deterministic for any thread count).
   ///
   /// `budget` (optional) makes the fill cooperatively interruptible:
-  /// on expiry the remaining cells are skipped and the returned matrix
-  /// has complete() == false. Cancellation is polled between work
-  /// chunks, so mid-precompute Cancel() from another thread is safe.
+  /// on expiry the remaining configurations are skipped and the
+  /// returned matrix has complete() == false. Cancellation is polled
+  /// between configurations, so mid-precompute Cancel() from another
+  /// thread is safe.
   ///
-  /// `progress` (optional) receives "whatif.precompute" updates as
-  /// work shards complete — invoked from worker threads, so the
-  /// callback must be thread-safe (see common/progress.h). `logger`
-  /// (optional) records precompute start/end events. Like the tracer,
-  /// neither perturbs values; attaching progress only switches the
-  /// fill to the coarser sharded fan-out tracing already uses.
+  /// `progress` (optional) receives a "whatif.precompute" update as
+  /// each configuration completes — invoked from worker threads, so
+  /// the callback must be thread-safe (see common/progress.h).
+  /// `logger` (optional) records precompute start/end events.
   ///
-  /// `cost_cache` (optional) is the persistent cross-solve cache: EXEC
-  /// cells are then assembled from per-(statement fingerprint, config
-  /// mask) entries — looked up before costing, inserted after — so a
-  /// warm precompute over an unchanged model answers essentially every
-  /// probe from the cache. The cache is validated first against a
-  /// token derived from CostModel::Fingerprint() and the space's
-  /// universe fingerprint, and is silently skipped when
+  /// `cost_cache` (optional) is the persistent cross-solve cache: each
+  /// column entry is looked up by (shape fingerprint, config mask)
+  /// before costing and inserted after, so a warm precompute over an
+  /// unchanged model costs nothing. The cache is validated first
+  /// against a token derived from CostModel::Fingerprint() and the
+  /// space's universe fingerprint, and is silently skipped when
   /// candidates.exact_masks() is false (fingerprint masks would make
   /// keying unsound). `tracker` (optional) charges cache growth to
   /// MemComponent::kCostCache; a refused reservation skips the insert
@@ -267,89 +285,74 @@ class WhatIfEngine {
       CostCache* cost_cache = nullptr,
       ResourceTracker* tracker = nullptr) const;
 
-  /// Mirrors the engine's activity into `registry` — counters
-  /// "whatif.costings" / "whatif.cache_hits" and the
-  /// "whatif.segment_cost_us" costing-latency histogram. Pass nullptr
-  /// to detach. Safe to call concurrently with probes and with other
-  /// SetMetrics calls (the sink pointers are atomic): an engine shared
-  /// by concurrent Solve() calls over the same registry — the serving
-  /// path — is race-free. Const because it only touches observational
-  /// state (like the memo/counter members); no-op when metrics are
-  /// compiled out.
+  /// Mirrors the engine's costings into the "whatif.costings" counter
+  /// of `registry`. Pass nullptr to detach. Safe to call concurrently
+  /// with probes and with other SetMetrics calls (the sink pointer is
+  /// atomic): an engine shared by concurrent Solve() calls over the
+  /// same registry — the serving path — is race-free. No-op when
+  /// metrics are compiled out.
   void SetMetrics(MetricsRegistry* registry) const;
 
-  /// Number of what-if statement costings performed so far (for the
-  /// optimizer-cost experiments: the dominant work unit).
+  /// Number of what-if costings (cost-model probes) performed so far —
+  /// the optimizer-cost experiments' dominant work unit. Shape-cost
+  /// columns answered from a CostCache cost none.
   int64_t costings() const {
     return costings_.load(std::memory_order_relaxed);
   }
 
-  /// Number of SegmentCost calls answered from the engine's own memo
-  /// cache (distinct from the persistent CostCache's hits()).
-  int64_t cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
-
  private:
-  /// A statement shape with literals erased, plus its multiplicity and
-  /// 64-bit fingerprint (the persistent cost cache's statement key).
+  /// One per-segment profile entry: a workload shape and how many of
+  /// the segment's statements have it.
   struct ProfileEntry {
-    BoundStatement representative;
+    uint32_t shape = 0;  // Index into workload_profile_.
     int64_t count = 0;
-    uint64_t fingerprint = 0;
   };
 
-  /// Memo key: one (segment, configuration) what-if probe.
-  struct CacheKey {
-    size_t segment;
-    Configuration config;
-    bool operator==(const CacheKey&) const = default;
-  };
-  struct CacheKeyHash {
-    size_t operator()(const CacheKey& key) const {
-      const size_t h = ConfigurationHash()(key.config);
-      return h ^ (key.segment + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-    }
-  };
-  struct CacheShard {
-    std::mutex mu;
-    std::unordered_map<CacheKey, double, CacheKeyHash> memo;
-  };
-  static constexpr size_t kCacheShards = 64;
-
-  CacheShard& ShardFor(size_t segment, const Configuration& config) const {
-    return shards_[CacheKeyHash()(CacheKey{segment, config}) % kCacheShards];
+  std::span<const ProfileEntry> Profile(size_t segment) const {
+    return std::span<const ProfileEntry>(profile_entries_)
+        .subspan(profile_begin_[segment],
+                 profile_begin_[segment + 1] - profile_begin_[segment]);
   }
 
-  /// The uncached cost computation (pure; reads only immutable state).
-  double ComputeSegmentCost(size_t segment, const Configuration& config) const;
+  /// Writes `config`'s shape-cost column into `column`, answering
+  /// entries from `cache` (keyed by `config_mask`) when one is given.
+  void FillColumn(const Configuration& config, uint64_t config_mask,
+                  CostCache* cache, ResourceTracker* tracker,
+                  std::span<double> column) const;
 
-  /// EXEC(S_segment, config) assembled from the persistent cache:
-  /// per profile entry, look up (entry.fingerprint, config_mask), cost
-  /// and insert on miss. Summation runs in profile order — the same
-  /// order as ComputeSegmentCost — so the result is bit-identical to
-  /// the uncached path.
-  double CachedSegmentCost(size_t segment, const Configuration& config,
-                           uint64_t config_mask, CostCache* cache,
-                           ResourceTracker* tracker) const;
+  void CountCostings(int64_t costed) const;
 
   const CostModel* model_;
   std::vector<Segment> segments_;
-  std::vector<std::vector<ProfileEntry>> profiles_;  // Per segment.
-  // The per-segment profiles merged by fingerprint, first appearance
-  // first (built once in the constructor; immutable afterwards).
+  // Segment s's profile is profile_entries_[profile_begin_[s],
+  // profile_begin_[s + 1]), each segment's shapes in first-appearance
+  // order.
+  std::vector<ProfileEntry> profile_entries_;
+  std::vector<size_t> profile_begin_;
   std::vector<WorkloadShape> workload_profile_;
-  mutable std::array<CacheShard, kCacheShards> shards_;
   mutable std::atomic<int64_t> costings_{0};
-  mutable std::atomic<int64_t> cache_hits_{0};
-  // Optional metric sinks (null until SetMetrics). Atomic because
-  // every concurrent Solve() over a shared engine re-attaches them
-  // while other solves' probes read them; the registry hands out
-  // stable pointers, so concurrent attaches of the same registry are
-  // idempotent.
+  // Optional metric sink (null until SetMetrics). Atomic because every
+  // concurrent Solve() over a shared engine re-attaches it while other
+  // solves' probes read it; the registry hands out stable pointers, so
+  // concurrent attaches of the same registry are idempotent.
   mutable std::atomic<Counter*> metrics_costings_{nullptr};
-  mutable std::atomic<Counter*> metrics_cache_hits_{nullptr};
-  mutable std::atomic<Histogram*> metrics_segment_cost_us_{nullptr};
+};
+
+/// Shape-cost columns of the configurations one walk over a schedule
+/// visits, each priced on first use — so pricing a schedule costs
+/// |shapes| costings per distinct configuration, not per segment.
+/// Local to one walk; not thread-safe.
+class ScheduleColumns {
+ public:
+  explicit ScheduleColumns(const WhatIfEngine& engine) : engine_(engine) {}
+
+  /// `config`'s column, valid for the lifetime of this object.
+  std::span<const double> For(const Configuration& config);
+
+ private:
+  const WhatIfEngine& engine_;
+  std::deque<std::pair<Configuration, std::vector<double>>> columns_;
+  size_t last_ = 0;  // The entry For() returned last.
 };
 
 }  // namespace cdpd

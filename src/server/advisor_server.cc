@@ -198,7 +198,8 @@ void AdvisorServer::ServeConnection(Connection* conn) {
     inflight->Add(1);
     requests->Add(1);
     const std::string_view op_name = ServerOpName(opcode);
-    registry->counter("server.op." + std::string(op_name))->Add(1);
+    OpMetrics& op_metrics = op_metrics_[opcode];
+    op_metrics.requests.Get(registry, "server.op.", op_name)->Add(1);
 
     // Resolve the request id (wire header, or a server-generated
     // fallback) and the opcode's real payload. An unparsable header is
@@ -300,7 +301,7 @@ void AdvisorServer::ServeConnection(Connection* conn) {
     // advertises must resolve via /trace?id=, and only traced requests
     // enter the slow log. Untraced ping/stats samples stay anonymous.
     Histogram* op_latency =
-        registry->histogram("server.op_us." + std::string(op_name));
+        op_metrics.latency_us.Get(registry, "server.op_us.", op_name);
     if (traced) {
       latency->Record(elapsed_us, request_id);
       op_latency->Record(elapsed_us, request_id);

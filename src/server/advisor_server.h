@@ -1,6 +1,7 @@
 #ifndef CDPD_SERVER_ADVISOR_SERVER_H_
 #define CDPD_SERVER_ADVISOR_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -8,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/result.h"
 #include "server/advisor_service.h"
 
@@ -102,7 +104,15 @@ class AdvisorServer {
   /// Called by the accept loop before each accept.
   void ReapFinished();
 
+  /// Per-opcode request counter and latency histogram, indexed by
+  /// BaseTag(opcode) and resolved on the opcode's first request.
+  struct OpMetrics {
+    LazyMetric<Counter> requests;
+    LazyMetric<Histogram> latency_us;
+  };
+
   AdvisorService* service_;
+  std::array<OpMetrics, 128> op_metrics_;
   std::atomic<bool> stopping_{false};
   std::atomic<int> listen_fd_{-1};
   int port_ = 0;

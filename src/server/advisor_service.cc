@@ -357,12 +357,15 @@ Result<WhatIfAnswer> AdvisorService::WhatIfConfig(const Configuration& config) {
   WhatIfAnswer answer;
   answer.config = config;
   answer.segments = window->segments.size();
+  const WhatIfEngine& engine = *window->engine;
+  const std::vector<double> column = engine.ShapeColumn(config);
+  const std::vector<double> base_column = engine.ShapeColumn(initial);
   for (size_t i = 0; i < window->segments.size(); ++i) {
-    answer.exec_cost += window->engine->SegmentCost(i, config);
-    answer.base_exec_cost += window->engine->SegmentCost(i, initial);
+    answer.exec_cost += engine.SegmentCost(i, column);
+    answer.base_exec_cost += engine.SegmentCost(i, base_column);
   }
   answer.build_cost = window->engine->TransitionCost(initial, config);
-  registry_.counter("server.whatifs")->Add(1);
+  whatifs_metric_.Get(&registry_, "server.whatifs")->Add(1);
   return answer;
 }
 
@@ -414,8 +417,9 @@ Result<RecommendAnswer> AdvisorService::RecommendNow(
         resident_.options_key == key) {
       RecommendAnswer reused = *resident_.answer;
       reused.reused_resident = true;
-      registry_.counter("server.recommends")->Add(1);
-      registry_.counter("server.recommends_reused")->Add(1);
+      recommends_metric_.Get(&registry_, "server.recommends")->Add(1);
+      recommends_reused_metric_.Get(&registry_, "server.recommends_reused")
+          ->Add(1);
       return reused;
     }
   }
@@ -471,7 +475,7 @@ Result<RecommendAnswer> AdvisorService::RecommendNow(
       initial_ = answer->schedule.configs.back();
     }
   }
-  registry_.counter("server.recommends")->Add(1);
+  recommends_metric_.Get(&registry_, "server.recommends")->Add(1);
   if (session_.cost_cache() != nullptr) {
     session_.cost_cache()->PublishTo(&registry_);
   }

@@ -183,8 +183,8 @@ struct RecommendAnswer {
 ///
 /// Thread-safe: INGEST swaps an immutable window snapshot under a
 /// mutex; WHATIF/RECOMMEND read whichever snapshot was current when
-/// they started (the what-if engine's memo and the solver session are
-/// internally synchronized), so concurrent clients never block each
+/// they started (the what-if engine is immutable and the solver session
+/// is internally synchronized), so concurrent clients never block each
 /// other on a long solve.
 class AdvisorService {
  public:
@@ -278,7 +278,7 @@ class AdvisorService {
 
  private:
   /// One immutable window version: statements, their segmentation, and
-  /// the memoizing what-if engine over them. Swapped wholesale by
+  /// the what-if engine over them. Swapped wholesale by
   /// INGEST; readers hold the shared_ptr for as long as they need it.
   struct WindowState {
     std::vector<BoundStatement> statements;
@@ -301,6 +301,10 @@ class AdvisorService {
   std::vector<IndexDef> candidate_indexes_;
   std::vector<Configuration> candidate_configs_;
   MetricsRegistry registry_;
+  // Hot-path counters, resolved on first use.
+  LazyMetric<Counter> whatifs_metric_;
+  LazyMetric<Counter> recommends_metric_;
+  LazyMetric<Counter> recommends_reused_metric_;
   SolverSession session_;
   CancelToken cancel_;
   SlowLog slow_log_;

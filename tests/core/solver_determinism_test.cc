@@ -24,8 +24,8 @@ namespace {
 using testing_util::MakeRandomProblem;
 using testing_util::ProblemFixture;
 
-/// Solves `method` with `threads` workers on a FRESH fixture (cold
-/// what-if memo), so costing counts are comparable across runs.
+/// Solves `method` with `threads` workers on a FRESH fixture (zero
+/// costings so far), so costing counts are comparable across runs.
 /// `metrics`/`tracer` attach observability sinks, which must never
 /// change the outcome.
 SolveResult SolveFresh(uint64_t seed, OptimizerMethod method,

@@ -195,9 +195,8 @@ TEST(CostCacheSolveTest, WarmSecondSolveHitsAtLeastNinetyPercent) {
   EXPECT_GT(cold.stats.cost_cache_misses, 0);
   EXPECT_GT(cache.entries(), 0);
 
-  // A *fresh* engine over the same workload: the per-engine memo is
-  // gone, so every probe answered without recosting came from the
-  // persistent cache.
+  // A *fresh* engine over the same workload: every probe answered
+  // without recosting came from the persistent cache.
   auto warm_fixture = MakeRandomProblem(/*seed=*/3, /*num_segments=*/4,
                                         /*block_size=*/10);
   const SolveResult warm = Solve(warm_fixture->problem, options).value();

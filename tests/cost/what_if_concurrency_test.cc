@@ -1,15 +1,19 @@
 // Concurrency behavior of WhatIfEngine: many threads hammering
-// SegmentCost agree with a serial engine, each distinct (segment,
-// configuration) pair is costed exactly once, and the parallel
-// PrecomputeCostMatrix matches serial probes cell for cell.
+// SegmentCost agree with a serial engine, the parallel
+// PrecomputeCostMatrix matches serial probes and a StatementCost
+// reference cell for cell, and it prices every (shape, configuration)
+// pair exactly once whatever the thread count or instrumentation.
 
 #include <cmath>
 #include <algorithm>
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <random>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +21,8 @@
 #include "common/log.h"
 #include "common/progress.h"
 #include "common/thread_pool.h"
+#include "common/tracing.h"
+#include "cost/cost_cache.h"
 #include "cost/what_if.h"
 
 namespace cdpd {
@@ -42,7 +48,7 @@ class WhatIfConcurrencyTest : public ::testing::Test {
     }
   }
 
-  /// A fresh engine over the same workload (cold memo cache).
+  /// A fresh engine over the same workload (zero costings).
   std::unique_ptr<WhatIfEngine> FreshEngine() const {
     return std::make_unique<WhatIfEngine>(&model_, statements_, segments_);
   }
@@ -90,10 +96,9 @@ TEST_F(WhatIfConcurrencyTest, ConcurrentSegmentCostMatchesSerial) {
           << "thread " << t << " pair " << pair;
     }
   }
-  // Exactly-once costing: the shard lock is held across the compute,
-  // so the count matches the serial engine despite 8x4 probe rounds.
-  EXPECT_EQ(what_if_->costings(), serial->costings());
-  EXPECT_GT(what_if_->cache_hits(), 0);
+  // Every probe is costed (nothing is memoized), and the atomic
+  // counter loses none of the 8x4 concurrent probe rounds.
+  EXPECT_EQ(what_if_->costings(), 8 * 4 * serial->costings());
 }
 
 TEST_F(WhatIfConcurrencyTest, PrecomputeCostMatrixMatchesSerialProbes) {
@@ -122,9 +127,109 @@ TEST_F(WhatIfConcurrencyTest, PrecomputeCostMatrixMatchesSerialProbes) {
           << "trans(" << from << ", " << to << ")";
     }
   }
-  // The matrix fill populates the memo, with the same exactly-once
-  // costing count as a serial sweep.
-  EXPECT_EQ(parallel_engine->costings(), serial->costings());
+  // The fill prices each (shape, configuration) pair exactly once.
+  EXPECT_EQ(parallel_engine->costings(),
+            static_cast<int64_t>(parallel_engine->workload_profile().size() *
+                                 configs_.size()));
+}
+
+TEST_F(WhatIfConcurrencyTest, PrecomputeCostingsAreShapesTimesConfigs) {
+  // |workload_profile()| x m for any thread count, traced or not.
+  const auto expected = static_cast<int64_t>(
+      what_if_->workload_profile().size() * configs_.size());
+  ASSERT_EQ(what_if_->workload_profile().size(), 4u);
+  for (const int threads : {1, 4}) {
+    for (const bool traced : {false, true}) {
+      ThreadPool pool(threads);
+      Tracer tracer;
+      std::unique_ptr<WhatIfEngine> engine = FreshEngine();
+      ASSERT_TRUE(engine
+                      ->PrecomputeCostMatrix(configs_, &pool,
+                                             traced ? &tracer : nullptr)
+                      .ok());
+      EXPECT_EQ(engine->costings(), expected)
+          << threads << " threads, traced = " << traced;
+    }
+  }
+}
+
+// EXEC(S_i, C) straight from the cost model: count x StatementCost
+// over segment i's literal-erased shapes in first-appearance order.
+double ReferenceExec(const CostModel& model,
+                     std::span<const BoundStatement> statements,
+                     const Segment& segment, const Configuration& config) {
+  std::vector<std::pair<BoundStatement, int64_t>> profile;
+  for (size_t i = segment.begin; i < segment.end; ++i) {
+    BoundStatement shape = statements[i];
+    shape.where_value = 0;
+    shape.set_value = 0;
+    if (shape.type == StatementType::kSelectRange) {
+      shape.where_hi -= shape.where_lo;
+      shape.where_lo = 0;
+    }
+    auto it = std::find_if(profile.begin(), profile.end(), [&](const auto& e) {
+      return e.first == shape;
+    });
+    if (it != profile.end()) {
+      ++it->second;
+    } else {
+      profile.emplace_back(shape, 1);
+    }
+  }
+  double cost = 0.0;
+  for (const auto& [shape, count] : profile) {
+    cost += static_cast<double>(count) * model.StatementCost(shape, config);
+  }
+  return cost;
+}
+
+TEST_F(WhatIfConcurrencyTest, PrecomputeMatchesStatementCostReference) {
+  // A many-shape window: half range statements of widths up to 1000 at
+  // scattered positions, half point queries and updates.
+  std::vector<BoundStatement> statements;
+  std::mt19937 rng(17);
+  for (int i = 0; i < 2000; ++i) {
+    const auto column = static_cast<ColumnId>(rng() % 4);
+    const auto value = static_cast<Value>(rng() % 90'000);
+    if (rng() % 2 == 0) {
+      statements.push_back(BoundStatement::SelectRange(
+          column, column, value, value + static_cast<Value>(rng() % 1001)));
+    } else if (rng() % 4 == 0) {
+      statements.push_back(BoundStatement::UpdatePoint(
+          column, value, static_cast<ColumnId>((column + 1) % 4), value));
+    } else {
+      statements.push_back(BoundStatement::SelectPoint(column, column, value));
+    }
+  }
+  const std::vector<Segment> segments = SegmentFixed(statements.size(), 100);
+  std::vector<Configuration> configs = configs_;
+  configs.push_back(Configuration({IndexDef({0, 1}), IndexDef({2})}));
+
+  ThreadPool pool(4);
+  CostCache cache;
+  for (const bool cached : {false, true, true}) {
+    WhatIfEngine engine(&model_, statements, segments);
+    ASSERT_GT(engine.workload_profile().size(), 200u);
+    const CostMatrix matrix =
+        engine
+            .PrecomputeCostMatrix(configs, &pool, nullptr, nullptr, nullptr,
+                                  nullptr, cached ? &cache : nullptr)
+            .value();
+    for (size_t s = 0; s < segments.size(); ++s) {
+      for (size_t c = 0; c < configs.size(); ++c) {
+        EXPECT_EQ(matrix.Exec(s, c),
+                  ReferenceExec(model_, statements, segments[s], configs[c]))
+            << "cached = " << cached << ", exec(" << s << ", " << c << ")";
+      }
+    }
+  }
+  // The first cached fill missed every (shape, configuration) pair;
+  // the second hit them all.
+  WhatIfEngine engine(&model_, statements, segments);
+  const auto pairs =
+      static_cast<int64_t>(engine.workload_profile().size() * configs.size());
+  EXPECT_EQ(cache.misses(), pairs);
+  EXPECT_EQ(cache.hits(), pairs);
 }
 
 TEST_F(WhatIfConcurrencyTest, PrecomputeWithNullPoolIsIdentical) {

@@ -48,12 +48,23 @@ TEST_F(WhatIfTest, SegmentCostDependsOnConfiguration) {
                    what_if_->SegmentCost(1, Configuration::Empty()));
 }
 
-TEST_F(WhatIfTest, MemoizationAvoidsRecosting) {
+TEST_F(WhatIfTest, CostingsCountEveryModelProbe) {
+  // Nothing is memoized: a repeated probe is priced again, and a
+  // shape-cost column costs one probe per workload shape.
   const Configuration empty;
   (void)what_if_->SegmentCost(0, empty);
   const int64_t after_first = what_if_->costings();
   (void)what_if_->SegmentCost(0, empty);
-  EXPECT_EQ(what_if_->costings(), after_first);
+  EXPECT_EQ(what_if_->costings(), 2 * after_first);
+  const std::vector<double> column = what_if_->ShapeColumn(empty);
+  EXPECT_EQ(column.size(), what_if_->workload_profile().size());
+  EXPECT_EQ(what_if_->costings(),
+            2 * after_first +
+                static_cast<int64_t>(what_if_->workload_profile().size()));
+  // Pricing segments from the column costs nothing more, and gives the
+  // same double as the one-segment probe.
+  EXPECT_EQ(what_if_->SegmentCost(0, column),
+            what_if_->SegmentCost(0, empty));
 }
 
 TEST_F(WhatIfTest, ProfilesCollapseStatementsWithEqualShape) {

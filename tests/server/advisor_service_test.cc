@@ -7,8 +7,12 @@
 
 #include "server/advisor_service.h"
 
+#include <algorithm>
+#include <atomic>
 #include <deque>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -195,6 +199,124 @@ TEST(AdvisorServiceTest, WhatIfRejectsConfigOverTheSpaceBound) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   // The empty configuration always fits.
   EXPECT_TRUE(service.WhatIfConfig(Configuration()).ok());
+}
+
+// Σ_i EXEC(S_i, config) over `window` cut into `block_size` segments,
+// straight from the cost model: per segment, count x StatementCost over
+// its literal-erased shapes in first-appearance order, segments in
+// order — the summation the service's WHATIF answer must reproduce.
+double ReferenceWindowExec(const CostModel& model,
+                           const std::vector<BoundStatement>& window,
+                           size_t block_size, const Configuration& config) {
+  double total = 0.0;
+  for (const Segment& segment : SegmentFixed(window.size(), block_size)) {
+    std::vector<std::pair<BoundStatement, int64_t>> profile;
+    for (size_t i = segment.begin; i < segment.end; ++i) {
+      BoundStatement shape = window[i];
+      shape.where_value = 0;
+      shape.set_value = 0;
+      auto it = std::find_if(profile.begin(), profile.end(),
+                             [&](const auto& e) { return e.first == shape; });
+      if (it != profile.end()) {
+        ++it->second;
+      } else {
+        profile.emplace_back(shape, 1);
+      }
+    }
+    double cost = 0.0;
+    for (const auto& [shape, count] : profile) {
+      cost += static_cast<double>(count) * model.StatementCost(shape, config);
+    }
+    total += cost;
+  }
+  return total;
+}
+
+// The window after ingesting TraceBatch(1..batches) under a
+// `window_statements` cap.
+std::vector<BoundStatement> WindowAfter(const ServiceOptions& options,
+                                        int batches) {
+  std::string sql;
+  for (int b = 1; b <= batches; ++b) sql += TraceBatch(b);
+  std::vector<BoundStatement> window =
+      ReadTrace(options.schema, sql).value().statements;
+  if (window.size() > options.window_statements) {
+    window.erase(window.begin(),
+                 window.end() -
+                     static_cast<ptrdiff_t>(options.window_statements));
+  }
+  return window;
+}
+
+TEST(AdvisorServiceTest, WhatIfAnswersMatchStatementCostReference) {
+  ServiceOptions options = SmallServiceOptions();
+  options.window_statements = 25;
+  AdvisorService service(options);
+  const CostModel model(options.schema, options.rows, options.domain_size,
+                        options.params);
+  const Configuration initial;
+  const std::vector<Configuration> configs = {
+      Configuration(), service.ParseConfigSpec("a").value(),
+      service.ParseConfigSpec("b,c;d").value()};
+  // Before and after INGESTs that slide the window (batch 3 drops the
+  // oldest statements).
+  for (int batches = 1; batches <= 4; ++batches) {
+    ASSERT_TRUE(service.IngestSql(TraceBatch(batches)).ok());
+    const std::vector<BoundStatement> window = WindowAfter(options, batches);
+    ASSERT_EQ(service.window_size(), window.size());
+    for (const Configuration& config : configs) {
+      const WhatIfAnswer answer = service.WhatIfConfig(config).value();
+      EXPECT_EQ(answer.segments,
+                SegmentFixed(window.size(), options.block_size).size());
+      EXPECT_EQ(answer.exec_cost, ReferenceWindowExec(model, window,
+                                                      options.block_size,
+                                                      config))
+          << "batches " << batches << " config "
+          << config.ToString(options.schema);
+      EXPECT_EQ(answer.base_exec_cost,
+                ReferenceWindowExec(model, window, options.block_size,
+                                    initial));
+      EXPECT_EQ(answer.build_cost, model.TransitionCost(initial, config));
+    }
+  }
+}
+
+TEST(AdvisorServiceTest, WhatIfDuringIngestAnswersSomeWholeWindow) {
+  // A WHATIF racing INGESTs prices one whole window snapshot: its
+  // answer is bit-identical to the reference of some epoch's window,
+  // never a mix of two.
+  ServiceOptions options = SmallServiceOptions();
+  options.window_statements = 25;
+  AdvisorService service(options);
+  const CostModel model(options.schema, options.rows, options.domain_size,
+                        options.params);
+  const Configuration config = service.ParseConfigSpec("a").value();
+  constexpr int kBatches = 12;
+  std::vector<double> references = {0.0};  // Epoch 0: empty window.
+  for (int batches = 1; batches <= kBatches; ++batches) {
+    references.push_back(ReferenceWindowExec(
+        model, WindowAfter(options, batches), options.block_size, config));
+  }
+
+  std::atomic<bool> done{false};
+  std::thread ingester([&] {
+    for (int b = 1; b <= kBatches; ++b) {
+      EXPECT_TRUE(service.IngestSql(TraceBatch(b)).ok());
+    }
+    done.store(true);
+  });
+  std::vector<double> answers;
+  while (!done.load() || answers.size() < 2) {
+    answers.push_back(service.WhatIfConfig(config).value().exec_cost);
+  }
+  ingester.join();
+  for (const double answer : answers) {
+    EXPECT_NE(std::find(references.begin(), references.end(), answer),
+              references.end())
+        << answer;
+  }
+  EXPECT_EQ(service.WhatIfConfig(config).value().exec_cost,
+            references.back());
 }
 
 TEST(AdvisorServiceTest, RecommendOnEmptyWindowIsFailedPrecondition) {
