@@ -172,7 +172,7 @@ void Run(bench_util::BenchReport* report) {
   options.window_statements = 2'000;
   AdvisorService service(std::move(options));
   AdvisorServer server(&service);
-  if (const Status status = server.Start(ServerOptions{}); !status.ok()) {
+  if (const Status status = server.Start(ListenOptions{}); !status.ok()) {
     std::fprintf(stderr, "cannot start server: %s\n",
                  status.ToString().c_str());
     std::exit(1);

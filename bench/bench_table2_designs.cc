@@ -53,12 +53,12 @@ void Run(bench_util::BenchReport* report) {
               "optimized in %.3fs\n",
               static_cast<long long>(unconstrained->changes),
               unconstrained->schedule.total_cost,
-              unconstrained->optimize_seconds);
+              unconstrained->stats.wall_seconds);
   std::printf("constrained:   %lld design changes (k = 2), estimated cost "
               "%.3e, optimized in %.3fs\n",
               static_cast<long long>(constrained->changes),
               constrained->schedule.total_cost,
-              constrained->optimize_seconds);
+              constrained->stats.wall_seconds);
   std::printf("candidate indexes: ");
   for (const IndexDef& def : unconstrained->candidate_indexes) {
     std::printf("%s ", def.ToString(schema).c_str());

@@ -112,7 +112,6 @@ Result<Recommendation> Advisor::Recommend(const Workload& workload,
   CDPD_ASSIGN_OR_RETURN(SolveResult solved, Solve(problem, solve_options));
   rec.schedule = std::move(solved.schedule);
   rec.stats = solved.stats;
-  rec.optimize_seconds = solved.stats.wall_seconds;
   rec.method_detail = std::move(solved.method_detail);
   rec.explain = std::move(solved.explain);
   if (!solved.reduced_candidates.empty()) {

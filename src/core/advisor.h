@@ -109,8 +109,6 @@ struct Recommendation {
   /// Unified solver counters (wall time, what-if costings, cache hits,
   /// threads used, nodes expanded).
   SolveStats stats;
-  /// Convenience alias of stats.wall_seconds (pre-SolveStats callers).
-  double optimize_seconds = 0.0;
   /// Technique detail (e.g. which branch the hybrid picked).
   std::string method_detail;
   /// Per-transition attribution of the schedule (set iff

@@ -160,6 +160,8 @@ Result<GreedySeqResult> SolveGreedySeq(const DesignProblem& problem,
   }
   result.stats.nodes_expanded = graph_stats.nodes_expanded;
   result.stats.relaxations = graph_stats.relaxations;
+  result.stats.cost_cache_hits = graph_stats.cost_cache_hits;
+  result.stats.cost_cache_misses = graph_stats.cost_cache_misses;
   result.stats.deadline_hit = grow_expired || graph_stats.deadline_hit;
   result.stats.best_effort = grow_expired || graph_stats.best_effort;
   result.stats.wall_seconds = watch.ElapsedSeconds();

@@ -163,6 +163,8 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
         matrix, what_if.PrecomputeCostMatrix(configs, pool, tracer, budget,
                                              progress, logger, cost_cache,
                                              tracker));
+    local_stats.cost_cache_hits = matrix.cache_hits();
+    local_stats.cost_cache_misses = matrix.cache_misses();
     if (!matrix.complete()) {
       return Status::DeadlineExceeded(
           "budget expired during the what-if precompute, before any "

@@ -177,6 +177,8 @@ Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
         matrix, what_if.PrecomputeCostMatrix(problem.candidates, pool, tracer,
                                              budget, progress, logger,
                                              cost_cache, tracker));
+    local_stats.cost_cache_hits = matrix.cache_hits();
+    local_stats.cost_cache_misses = matrix.cache_misses();
   }
   if (!matrix.complete()) {
     return Status::DeadlineExceeded(

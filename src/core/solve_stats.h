@@ -32,7 +32,10 @@ struct SolveStats {
   /// (SolveOptions::cost_cache): per-statement probes answered from
   /// the cache, probes that had to be costed and inserted, and entries
   /// evicted to stay inside the cache's byte budget. All zero when no
-  /// cache was attached.
+  /// cache was attached. Hits and misses are this solve's own
+  /// precompute traffic; evictions are the shared cache's delta over
+  /// the solve, so concurrent solves over one cache may each count an
+  /// eviction another one caused.
   int64_t cost_cache_hits = 0;
   int64_t cost_cache_misses = 0;
   int64_t cost_cache_evictions = 0;

@@ -194,16 +194,11 @@ Result<SolveResult> Solve(const DesignProblem& problem,
     }
   }
 
-  // Cache traffic is attributed to this solve centrally — deltas of
-  // the shared cache's counters around the dispatch — so compound
-  // methods (hybrid, greedy-seq, merging) never double count. With a
-  // shared cache and concurrent solves the deltas interleave, which is
-  // inherent to sharing; each counter is still exact in aggregate.
+  // Cache hits and misses come from the dispatched solver's own
+  // precomputes (CostMatrix::cache_hits), so concurrent solves sharing
+  // one cache never count each other's traffic. Evictions are a delta
+  // of the shared counter around the dispatch (see SolveStats).
   CostCache* const cost_cache = options.cost_cache;
-  const int64_t cache_hits_before =
-      cost_cache != nullptr ? cost_cache->hits() : 0;
-  const int64_t cache_misses_before =
-      cost_cache != nullptr ? cost_cache->misses() : 0;
   const int64_t cache_evictions_before =
       cost_cache != nullptr ? cost_cache->evictions() : 0;
 
@@ -331,12 +326,9 @@ Result<SolveResult> Solve(const DesignProblem& problem,
       static_cast<double>(ProcessCpuTimeMicros() - cpu_before) / 1e6;
   result.stats.threads_used = threads;
   if (cost_cache != nullptr) {
-    result.stats.cost_cache_hits = cost_cache->hits() - cache_hits_before;
-    result.stats.cost_cache_misses =
-        cost_cache->misses() - cache_misses_before;
     result.stats.cost_cache_evictions =
         cost_cache->evictions() - cache_evictions_before;
-    // Timestamp-only span carrying the solve's hit delta, so a trace
+    // Timestamp-only span carrying the solve's hit count, so a trace
     // shows at a glance whether the precompute ran warm or cold.
     TraceSpan cache_span(tracer, "solve.cost_cache", "solver");
     cache_span.set_arg(result.stats.cost_cache_hits);

@@ -79,6 +79,8 @@ Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
         matrix, what_if.PrecomputeCostMatrix(configs, pool, tracer, budget,
                                              progress, logger, cost_cache,
                                              tracker));
+    local_stats.cost_cache_hits = matrix.cache_hits();
+    local_stats.cost_cache_misses = matrix.cache_misses();
   }
   if (!matrix.complete()) {
     return Status::DeadlineExceeded(

@@ -151,10 +151,10 @@ double WhatIfEngine::ShapeCost(const WorkloadShape& shape,
   return model_->StatementCost(shape.representative, config);
 }
 
-void WhatIfEngine::FillColumn(const Configuration& config,
-                              uint64_t config_mask, CostCache* cache,
-                              ResourceTracker* tracker,
-                              std::span<double> column) const {
+int64_t WhatIfEngine::FillColumn(const Configuration& config,
+                                 uint64_t config_mask, CostCache* cache,
+                                 ResourceTracker* tracker,
+                                 std::span<double> column) const {
   int64_t costed = 0;
   for (size_t s = 0; s < workload_profile_.size(); ++s) {
     const WorkloadShape& shape = workload_profile_[s];
@@ -171,6 +171,7 @@ void WhatIfEngine::FillColumn(const Configuration& config,
     ++costed;
   }
   CountCostings(costed);
+  return costed;
 }
 
 std::vector<double> WhatIfEngine::ShapeColumn(
@@ -288,6 +289,7 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
   // writes only its own cells and probes only its own (shape, config)
   // pairs, so values and costings are identical for any thread count.
   std::atomic<size_t> configs_done{0};
+  std::atomic<int64_t> costed{0};
   bool complete = false;
   {
     CDPD_TRACE_SPAN(tracer, "whatif.exec_matrix", "whatif",
@@ -296,9 +298,11 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
         pool, 0, m,
         [&](size_t config) {
           std::vector<double> column(workload_profile_.size());
-          FillColumn(candidates[config],
-                     cache != nullptr ? candidates.mask(config) : 0, cache,
-                     tracker, column);
+          costed.fetch_add(
+              FillColumn(candidates[config],
+                         cache != nullptr ? candidates.mask(config) : 0,
+                         cache, tracker, column),
+              std::memory_order_relaxed);
           for (size_t segment = 0; segment < n; ++segment) {
             const double cost = SegmentCost(segment, column);
             if (!std::isfinite(cost)) bad_exec.Record(segment * m + config);
@@ -395,6 +399,15 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
         std::to_string(*cell / m) + " to #" + std::to_string(*cell % m));
   }
   matrix.set_complete(complete);
+  if (cache != nullptr) {
+    // Every filled column probed the cache once per shape; the entries
+    // it had to cost were the misses.
+    const int64_t probes =
+        static_cast<int64_t>(configs_done.load(std::memory_order_relaxed) *
+                             workload_profile_.size());
+    const int64_t misses = costed.load(std::memory_order_relaxed);
+    matrix.set_cache_traffic(probes - misses, misses);
+  }
   matrix.Finalize();
   if (!complete) {
     CDPD_LOG(logger, LogLevel::kWarn, "whatif.precompute.interrupted",

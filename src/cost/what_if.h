@@ -132,10 +132,23 @@ class CostMatrix {
   bool complete() const { return complete_; }
   void set_complete(bool complete) { complete_ = complete; }
 
+  /// CostCache traffic of the precompute that filled this matrix:
+  /// shape-cost entries answered from the cache, and entries that had
+  /// to be costed. Both zero when no cache was used. Counted per fill,
+  /// so concurrent solves sharing one cache never see each other's.
+  int64_t cache_hits() const { return cache_hits_; }
+  int64_t cache_misses() const { return cache_misses_; }
+  void set_cache_traffic(int64_t hits, int64_t misses) {
+    cache_hits_ = hits;
+    cache_misses_ = misses;
+  }
+
  private:
   size_t num_segments_ = 0;
   size_t num_configs_ = 0;
   bool complete_ = true;
+  int64_t cache_hits_ = 0;
+  int64_t cache_misses_ = 0;
   std::vector<double> exec_;   // [segment * num_configs + config]
   std::vector<double> trans_;  // [from * num_configs + to]
   // Derived by Finalize():
@@ -277,7 +290,9 @@ class WhatIfEngine {
   /// keying unsound). `tracker` (optional) charges cache growth to
   /// MemComponent::kCostCache; a refused reservation skips the insert
   /// and trips the solve's memory limit (see cost/cost_cache.h).
-  /// Cached and uncached fills produce bit-identical matrices.
+  /// Cached and uncached fills produce bit-identical matrices, and the
+  /// matrix reports the fill's own hits and misses (cache_hits(),
+  /// cache_misses()).
   Result<CostMatrix> PrecomputeCostMatrix(
       const CandidateSpace& candidates, ThreadPool* pool = nullptr,
       Tracer* tracer = nullptr, const Budget* budget = nullptr,
@@ -316,9 +331,11 @@ class WhatIfEngine {
 
   /// Writes `config`'s shape-cost column into `column`, answering
   /// entries from `cache` (keyed by `config_mask`) when one is given.
-  void FillColumn(const Configuration& config, uint64_t config_mask,
-                  CostCache* cache, ResourceTracker* tracker,
-                  std::span<double> column) const;
+  /// Returns how many entries it had to cost — with a cache, its
+  /// misses.
+  int64_t FillColumn(const Configuration& config, uint64_t config_mask,
+                     CostCache* cache, ResourceTracker* tracker,
+                     std::span<double> column) const;
 
   void CountCostings(int64_t costed) const;
 

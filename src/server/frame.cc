@@ -132,6 +132,9 @@ Status EncodeFrame(uint8_t tag, std::string_view payload, std::string* out) {
 Status ReadExact(int, void*, size_t, bool*) {
   return Status::Internal("advisor serving requires POSIX sockets");
 }
+Result<size_t> ReadSome(int, void*, size_t) {
+  return Status::Internal("advisor serving requires POSIX sockets");
+}
 Status WriteExact(int, const void*, size_t) {
   return Status::Internal("advisor serving requires POSIX sockets");
 }
@@ -155,6 +158,17 @@ Status ReadExact(int fd, void* data, size_t size, bool* clean_eof) {
                                          std::strerror(errno));
   }
   return Status::OK();
+}
+
+Result<size_t> ReadSome(int fd, void* data, size_t size) {
+  for (;;) {
+    const ssize_t n = ::read(fd, data, size);
+    if (n >= 0) return static_cast<size_t>(n);
+    if (errno != EINTR) {
+      return Status::Internal(std::string("read failed: ") +
+                              std::strerror(errno));
+    }
+  }
 }
 
 Status WriteExact(int fd, const void* data, size_t size) {

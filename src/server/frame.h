@@ -112,6 +112,10 @@ Status EncodeFrame(uint8_t tag, std::string_view payload, std::string* out);
 /// distinguishes via `clean_eof`.
 Status ReadExact(int fd, void* data, size_t size, bool* clean_eof = nullptr);
 
+/// One read of up to `size` bytes from `fd`, riding out EINTR: the
+/// byte count, 0 once the peer has closed.
+Result<size_t> ReadSome(int fd, void* data, size_t size);
+
 /// Writes exactly `size` bytes to `fd`, riding out short writes and
 /// EINTR.
 Status WriteExact(int fd, const void* data, size_t size);

@@ -1,20 +1,5 @@
 #include "server/http_endpoint.h"
 
-#include <cerrno>
-#include <chrono>
-#include <cstring>
-#include <memory>
-#include <thread>
-#include <utility>
-
-#if !defined(_WIN32)
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
-
 #include "server/frame.h"
 #include "server/recorder.h"
 #include "server/slow_log.h"
@@ -50,7 +35,7 @@ HttpResponse HttpEndpoint::Route(std::string_view target) {
     path = target.substr(0, qmark);
     query = target.substr(qmark + 1);
   }
-  service_->registry()->counter("server.http_requests")->Add(1);
+  http_requests_.Get(service_->registry(), "server.http_requests")->Add(1);
 
   HttpResponse response;
   if (path == "/metrics") {
@@ -138,141 +123,21 @@ HttpResponse HttpEndpoint::Route(std::string_view target) {
   return response;
 }
 
-#if defined(_WIN32)
-
-HttpEndpoint::~HttpEndpoint() = default;
-Status HttpEndpoint::Start(const HttpOptions&) {
-  return Status::Internal("the observability endpoint requires POSIX sockets");
-}
-void HttpEndpoint::Shutdown() {}
-void HttpEndpoint::AcceptLoop() {}
-void HttpEndpoint::ServeConnection(Connection*) {}
-void HttpEndpoint::ReapFinished() {}
-
-#else
-
-HttpEndpoint::~HttpEndpoint() { Shutdown(); }
-
-Status HttpEndpoint::Start(const HttpOptions& options) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket failed: ") +
-                            std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options.port));
-  if (::inet_pton(AF_INET, options.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("cannot parse host '" + options.host +
-                                   "' as an IPv4 address");
-  }
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const std::string error = std::strerror(errno);
-    ::close(fd);
-    return Status::Internal("bind to " + options.host + ":" +
-                            std::to_string(options.port) + " failed: " +
-                            error);
-  }
-  if (::listen(fd, options.backlog) != 0) {
-    const std::string error = std::strerror(errno);
-    ::close(fd);
-    return Status::Internal("listen failed: " + error);
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) ==
-      0) {
-    port_ = static_cast<int>(ntohs(bound.sin_port));
-  }
-  listen_fd_.store(fd, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
-}
-
-void HttpEndpoint::AcceptLoop() {
-  for (;;) {
-    ReapFinished();
-    const int lfd = listen_fd_.load(std::memory_order_acquire);
-    if (lfd < 0 || stopping_.load(std::memory_order_acquire)) break;
-    const int fd = ::accept(lfd, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_acquire)) break;
-      // A transient failure must not kill the observability listener
-      // for the rest of the process's life: aborted handshakes just
-      // retry, and descriptor exhaustion (often caused elsewhere in
-      // the process) is waited out.
-      if (errno == EINTR || errno == ECONNABORTED || errno == EPROTO) {
-        continue;
-      }
-      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-          errno == ENOMEM) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        continue;
-      }
-      break;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_unique<Connection>(fd);
-    Connection* raw = conn.get();
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      break;
-    }
-    open_fds_.push_back(fd);
-    connections_.push_back(std::move(conn));
-    // Spawned under conn_mu_: the handler's completion store can only
-    // happen after its own final conn_mu_ section, i.e. after this
-    // assignment — so a reaper never joins a half-assigned thread.
-    raw->thread = std::thread([this, raw] { ServeConnection(raw); });
-  }
-}
-
-void HttpEndpoint::ReapFinished() {
-  std::vector<std::unique_ptr<Connection>> finished;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (size_t i = 0; i < connections_.size();) {
-      if (connections_[i]->done.load(std::memory_order_acquire)) {
-        finished.push_back(std::move(connections_[i]));
-        connections_.erase(connections_.begin() +
-                           static_cast<ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
-  }
-  // `done` is the handler's last act, so these joins return promptly.
-  for (std::unique_ptr<Connection>& conn : finished) {
-    if (conn->thread.joinable()) conn->thread.join();
-  }
-}
-
-void HttpEndpoint::ServeConnection(Connection* conn) {
-  const int fd = conn->fd;
+void HttpEndpoint::ServeConnection(int fd) {
   // Read until the header terminator; the request line is all we use.
   // 8 KiB is generous for "GET /metrics HTTP/1.1" plus curl's headers.
   std::string request;
   char buf[1024];
   bool have_headers = false;
   while (request.size() < 8192) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n > 0) {
-      request.append(buf, static_cast<size_t>(n));
-      if (request.find("\r\n\r\n") != std::string::npos ||
-          request.find("\n\n") != std::string::npos) {
-        have_headers = true;
-        break;
-      }
-      continue;
+    const Result<size_t> n = ReadSome(fd, buf, sizeof(buf));
+    if (!n.ok() || *n == 0) break;
+    request.append(buf, *n);
+    if (request.find("\r\n\r\n") != std::string::npos ||
+        request.find("\n\n") != std::string::npos) {
+      have_headers = true;
+      break;
     }
-    if (n < 0 && errno == EINTR) continue;
-    break;
   }
 
   HttpResponse response;
@@ -304,53 +169,6 @@ void HttpEndpoint::ServeConnection(Connection* conn) {
   wire += "Connection: close\r\n\r\n";
   wire += response.body;
   (void)WriteExact(fd, wire.data(), wire.size());
-
-  // Drop the fd from the shutdown set *before* closing it: once closed
-  // the number can be recycled by any other part of the process, and a
-  // concurrent Shutdown() iterating open_fds_ must never shut down a
-  // stranger's descriptor.
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (size_t i = 0; i < open_fds_.size(); ++i) {
-      if (open_fds_[i] == fd) {
-        open_fds_.erase(open_fds_.begin() + static_cast<ptrdiff_t>(i));
-        break;
-      }
-    }
-  }
-  ::close(fd);
-  // Last act: publish completion so the accept loop can reap this
-  // thread. Nothing may touch `this` or `conn` past this store.
-  conn->done.store(true, std::memory_order_release);
 }
-
-void HttpEndpoint::Shutdown() {
-  if (!stopping_.exchange(true, std::memory_order_acq_rel)) {
-    const int lfd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
-    if (lfd >= 0) {
-      ::shutdown(lfd, SHUT_RDWR);
-      ::close(lfd);
-    }
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (const int open_fd : open_fds_) {
-      ::shutdown(open_fd, SHUT_RDWR);
-    }
-  }
-  std::lock_guard<std::mutex> lock(join_mu_);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  for (;;) {
-    std::vector<std::unique_ptr<Connection>> batch;
-    {
-      std::lock_guard<std::mutex> conn_lock(conn_mu_);
-      batch.swap(connections_);
-    }
-    if (batch.empty()) break;
-    for (std::unique_ptr<Connection>& conn : batch) {
-      if (conn->thread.joinable()) conn->thread.join();
-    }
-  }
-}
-
-#endif  // _WIN32
 
 }  // namespace cdpd

@@ -1,28 +1,15 @@
 #ifndef CDPD_SERVER_HTTP_ENDPOINT_H_
 #define CDPD_SERVER_HTTP_ENDPOINT_H_
 
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <vector>
 
+#include "common/metrics.h"
 #include "common/result.h"
 #include "server/advisor_service.h"
+#include "server/listener.h"
 
 namespace cdpd {
-
-/// Transport knobs of the observability listener.
-struct HttpOptions {
-  /// Loopback by default, same rationale as ServerOptions: the
-  /// endpoints are unauthenticated.
-  std::string host = "127.0.0.1";
-  /// 0 = ephemeral; the bound port is reported by port().
-  int port = 0;
-  int backlog = 16;
-};
 
 /// One parsed HTTP request target and the response to send back —
 /// separated from the socket loop so the routing logic is unit-testable
@@ -50,34 +37,34 @@ struct HttpResponse {
 ///                  One request's slow-log entry by id (recent ring
 ///                  first), 404 when the id has aged out.
 ///
-/// One request per connection (Connection: close), one thread per
-/// connection; request bodies are ignored and only GET is served. The
-/// service is borrowed and must outlive the endpoint.
+/// One request per connection (Connection: close), served on the
+/// connection's Listener thread (server/listener.h); request bodies
+/// are ignored and only GET is served. The service is borrowed and
+/// must outlive the endpoint.
 class HttpEndpoint {
  public:
   explicit HttpEndpoint(AdvisorService* service) : service_(service) {}
   HttpEndpoint(const HttpEndpoint&) = delete;
   HttpEndpoint& operator=(const HttpEndpoint&) = delete;
-  ~HttpEndpoint();
+  ~HttpEndpoint() { Shutdown(); }
 
   /// Binds, listens, and spawns the accept thread.
-  Status Start(const HttpOptions& options = {});
+  Status Start(const ListenOptions& options = {}) {
+    return listener_.Start(options);
+  }
 
   /// The bound port (the ephemeral port when options.port was 0); 0
   /// before Start().
-  int port() const { return port_; }
+  int port() const { return listener_.port(); }
 
   /// Stops accepting, unblocks in-flight connections, joins all
   /// threads. Idempotent.
-  void Shutdown();
+  void Shutdown() { listener_.Shutdown(); }
 
   /// Connections still tracked (serving, or finished and awaiting the
   /// accept loop's next reap). Exposed so tests can assert the set
   /// stays bounded across many sequential requests.
-  size_t TrackedConnectionsForTest() {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    return connections_.size();
-  }
+  size_t TrackedConnectionsForTest() { return listener_.tracked_connections(); }
 
   /// Pure routing: maps a request target ("/metrics",
   /// "/trace?id=abc") to the response the socket loop would send.
@@ -85,33 +72,14 @@ class HttpEndpoint {
   HttpResponse Route(std::string_view target);
 
  private:
-  /// One accepted connection: its socket, the thread serving it, and a
-  /// completion flag the accept loop polls so finished threads are
-  /// joined during operation — an unjoined thread keeps its stack
-  /// mapped, and a server scraped every few seconds must not hoard one
-  /// mapping per past request until shutdown.
-  struct Connection {
-    explicit Connection(int fd) : fd(fd) {}
-    int fd;
-    std::atomic<bool> done{false};
-    std::thread thread;
-  };
-
-  void AcceptLoop();
-  void ServeConnection(Connection* conn);
-  /// Joins and frees every connection whose handler has finished.
-  /// Called by the accept loop before each accept.
-  void ReapFinished();
+  /// Reads one request, writes its response. The listener closes `fd`
+  /// afterwards.
+  void ServeConnection(int fd);
 
   AdvisorService* service_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<int> listen_fd_{-1};
-  int port_ = 0;
-  std::thread accept_thread_;
-  std::mutex conn_mu_;
-  std::vector<std::unique_ptr<Connection>> connections_;
-  std::vector<int> open_fds_;
-  std::mutex join_mu_;
+  LazyMetric<Counter> http_requests_;
+  /// Declared last: connection threads use every member above.
+  Listener listener_{[this](int fd) { ServeConnection(fd); }};
 };
 
 }  // namespace cdpd

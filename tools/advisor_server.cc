@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
   }
 
   AdvisorServer server(&service);
-  ServerOptions server_options;
+  ListenOptions server_options;
   server_options.host = args.host;
   server_options.port = static_cast<int>(args.port);
   if (const Status status = server.Start(server_options); !status.ok()) {
@@ -274,7 +274,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<HttpEndpoint> http;
   if (args.http_port >= 0) {
     http = std::make_unique<HttpEndpoint>(&service);
-    HttpOptions http_options;
+    ListenOptions http_options;
     http_options.host = args.host;
     http_options.port = static_cast<int>(args.http_port);
     if (const Status status = http->Start(http_options); !status.ok()) {
