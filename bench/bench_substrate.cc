@@ -1,6 +1,6 @@
 // Substrate microbenchmarks: the physical primitives every experiment
 // stands on — B+-tree seeks, covering scans, heap scans, index build,
-// update maintenance, and what-if costing throughput.
+// update maintenance, what-if costing throughput, and SQL trace parsing.
 
 #include <memory>
 
@@ -9,6 +9,8 @@
 #include "bench_util.h"
 #include "cost/what_if.h"
 #include "index/index_builder.h"
+#include "workload/query_mix.h"
+#include "workload/trace_io.h"
 
 namespace cdpd {
 namespace {
@@ -137,6 +139,65 @@ void BM_ApplyConfigurationRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ApplyConfigurationRoundTrip)->Unit(benchmark::kMillisecond);
+
+constexpr size_t kTraceStatements = 100'000;
+
+/// The paper's W1 phases scaled to kTraceStatements point SELECTs, as a
+/// WriteTrace script with block markers.
+std::string MakeW1Trace() {
+  const Schema schema = MakePaperSchema();
+  const size_t blocks = PaperBlockMixLetters("W1").size();
+  WorkloadGenerator gen(schema, kDomain, bench_util::kSeed);
+  Workload workload =
+      MakeScaledPaperWorkload("W1", (kTraceStatements + blocks - 1) / blocks,
+                              &gen)
+          .value();
+  workload.statements.resize(kTraceStatements);
+  return WriteTrace(schema, workload);
+}
+
+/// kTraceStatements statements over the paper's mixes: 20% UPDATE, 10%
+/// INSERT, 30% BETWEEN and the rest point SELECTs.
+std::string MakeDmlTrace() {
+  const Schema schema = MakePaperSchema();
+  const std::vector<QueryMix> mixes = MakePaperQueryMixes();
+  std::vector<int> blocks;
+  for (size_t b = 0; b < 100; ++b) {
+    blocks.push_back(static_cast<int>(b % mixes.size()));
+  }
+  WorkloadGenerator gen(schema, kDomain, bench_util::kSeed);
+  const DmlMixOptions dml{.update_fraction = 0.2,
+                          .insert_fraction = 0.1,
+                          .range_fraction = 0.3};
+  return WriteTrace(
+      schema,
+      gen.GenerateBlocked(mixes, blocks, kTraceStatements / blocks.size(), dml)
+          .value());
+}
+
+/// Parses `text` (built outside the timed loop) once per iteration.
+void ReadTraceLoop(benchmark::State& state, const std::string& text) {
+  const Schema schema = MakePaperSchema();
+  for (auto _ : state) {
+    auto workload = ReadTrace(schema, text);
+    if (!workload.ok() || workload->size() != kTraceStatements) std::abort();
+    benchmark::DoNotOptimize(workload);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kTraceStatements));
+}
+
+void BM_ReadTraceW1(benchmark::State& state) {
+  static const std::string text = MakeW1Trace();
+  ReadTraceLoop(state, text);
+}
+BENCHMARK(BM_ReadTraceW1)->Unit(benchmark::kMillisecond);
+
+void BM_ReadTraceDml(benchmark::State& state) {
+  static const std::string text = MakeDmlTrace();
+  ReadTraceLoop(state, text);
+}
+BENCHMARK(BM_ReadTraceDml)->Unit(benchmark::kMillisecond);
 
 /// Feeds every google-benchmark result into the BENCH_*.json telemetry
 /// artifact (one case per benchmark, per-iteration real time) while

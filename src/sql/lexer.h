@@ -39,6 +39,25 @@ struct Token {
 /// with a kEnd token.
 Result<std::vector<Token>> Tokenize(std::string_view sql);
 
+/// Stands in for each integer literal in a ScanSkeleton() key. The
+/// lexer rejects this byte, so no accepted statement contains it.
+inline constexpr char kSkeletonSlot = '\x01';
+
+/// Reduces `sql` to its literal-erased skeleton: `*key` receives `sql`
+/// with every integer literal token (digits, or '-' followed by a
+/// digit, where a token starts) replaced by one kSkeletonSlot byte, and
+/// `*literals` receives their values in order. Everything else, including
+/// whitespace, keyword case and digits inside identifiers, is copied
+/// verbatim. Token boundaries are Tokenize()'s, so two statements with
+/// equal keys tokenize alike except for their literal values.
+///
+/// Returns false, leaving the outputs unspecified, when `sql` holds
+/// something Tokenize() rejects that the scan can see: the slot byte, a
+/// stray '-' or a literal outside int64. Other lexical errors are copied
+/// into the key and surface when the statement is parsed in full.
+bool ScanSkeleton(std::string_view sql, std::string* key,
+                  std::vector<int64_t>* literals);
+
 }  // namespace cdpd
 
 #endif  // CDPD_SQL_LEXER_H_

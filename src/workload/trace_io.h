@@ -28,9 +28,20 @@ Status WriteTraceFile(const std::string& path, const Schema& schema,
 /// into a bound workload. Statement kinds are restricted to the DML
 /// dialect (index DDL in a trace is rejected: physical design is the
 /// advisor's output, not its input).
+///
+/// Each statement template is bound once per call. A template is a
+/// line with its integer literals erased (sql/lexer.h ScanSkeleton);
+/// spacing and keyword case are part of it. The first line of a
+/// template takes the full Tokenize -> ParseStatement -> BindStatement
+/// path, and once that accepts it, later lines of the same template only
+/// decode their literals into a copy of its BoundStatement. Every error
+/// comes from the full path, prefixed with "line N: ", so results and
+/// messages are those of binding every line on its own.
 Result<Workload> ReadTrace(const Schema& schema, std::string_view text);
 
-/// Reads and parses a trace file.
+/// Reads a trace file into one buffer, reserved from the file length
+/// when it has one, and parses it. Fails with NotFound when the file
+/// cannot be opened and Internal when it cannot be read.
 Result<Workload> ReadTraceFile(const std::string& path, const Schema& schema);
 
 }  // namespace cdpd

@@ -12,6 +12,7 @@
 #include "sql/binder.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
+#include "test_util.h"
 #include "workload/statement.h"
 
 namespace cdpd {
@@ -19,31 +20,7 @@ namespace {
 
 class SqlRoundTripFuzz : public ::testing::TestWithParam<uint64_t> {};
 
-BoundStatement RandomStatement(Rng* rng, const Schema& schema) {
-  const auto col = [&] {
-    return static_cast<ColumnId>(
-        rng->NextBounded(static_cast<uint64_t>(schema.num_columns())));
-  };
-  const auto value = [&] { return rng->UniformInt(-1'000'000, 1'000'000); };
-  switch (rng->NextBounded(4)) {
-    case 0:
-      return BoundStatement::SelectPoint(col(), col(), value());
-    case 1: {
-      const Value lo = value();
-      return BoundStatement::SelectRange(col(), col(), lo,
-                                         lo + rng->UniformInt(0, 10'000));
-    }
-    case 2:
-      return BoundStatement::UpdatePoint(col(), value(), col(), value());
-    default: {
-      std::vector<Value> values;
-      for (int32_t i = 0; i < schema.num_columns(); ++i) {
-        values.push_back(value());
-      }
-      return BoundStatement::Insert(std::move(values));
-    }
-  }
-}
+using testing_util::RandomStatement;
 
 TEST_P(SqlRoundTripFuzz, BoundStatementsSurvivePrintParseBind) {
   const Schema schema = MakePaperSchema();

@@ -82,5 +82,30 @@ TEST(LexerTest, PositionsAreByteOffsets) {
   EXPECT_EQ((*tokens)[1].position, 4u);
 }
 
+TEST(LexerTest, SkeletonErasesLiteralTokensOnly) {
+  std::string key;
+  std::vector<int64_t> literals;
+  ASSERT_TRUE(ScanSkeleton("UPDATE t SET col_2 = -17 WHERE x9=007;", &key,
+                           &literals));
+  const std::string slot(1, kSkeletonSlot);
+  EXPECT_EQ(key, "UPDATE t SET col_2 = " + slot + " WHERE x9=" + slot + ";");
+  EXPECT_EQ(literals, (std::vector<int64_t>{-17, 7}));
+  ASSERT_TRUE(ScanSkeleton("5-3 12ab", &key, &literals));
+  EXPECT_EQ(key, slot + slot + " " + slot + "ab");
+  EXPECT_EQ(literals, (std::vector<int64_t>{5, -3, 12}));
+  ASSERT_TRUE(ScanSkeleton("-9223372036854775808", &key, &literals));
+  EXPECT_EQ(literals, (std::vector<int64_t>{INT64_MIN}));
+}
+
+TEST(LexerTest, SkeletonRefusesWhatTokenizeRejects) {
+  std::string key;
+  std::vector<int64_t> literals;
+  EXPECT_FALSE(ScanSkeleton("a = 9223372036854775808", &key, &literals));
+  EXPECT_FALSE(ScanSkeleton("a = -9223372036854775809", &key, &literals));
+  EXPECT_FALSE(ScanSkeleton("a = - 1", &key, &literals));
+  EXPECT_FALSE(ScanSkeleton(std::string("a = ") + kSkeletonSlot, &key,
+                            &literals));
+}
+
 }  // namespace
 }  // namespace cdpd

@@ -82,6 +82,34 @@ inline IndexDef MakeIndex(const Schema& schema,
   return IndexDef::FromColumnNames(schema, columns).value();
 }
 
+/// A random DML statement over `schema` with literals in +-1e6: point
+/// and range SELECTs, UPDATEs and full-row INSERTs, equally often.
+inline BoundStatement RandomStatement(Rng* rng, const Schema& schema) {
+  const auto col = [&] {
+    return static_cast<ColumnId>(
+        rng->NextBounded(static_cast<uint64_t>(schema.num_columns())));
+  };
+  const auto value = [&] { return rng->UniformInt(-1'000'000, 1'000'000); };
+  switch (rng->NextBounded(4)) {
+    case 0:
+      return BoundStatement::SelectPoint(col(), col(), value());
+    case 1: {
+      const Value lo = value();
+      return BoundStatement::SelectRange(col(), col(), lo,
+                                         lo + rng->UniformInt(0, 10'000));
+    }
+    case 2:
+      return BoundStatement::UpdatePoint(col(), value(), col(), value());
+    default: {
+      std::vector<Value> values;
+      for (int32_t i = 0; i < schema.num_columns(); ++i) {
+        values.push_back(value());
+      }
+      return BoundStatement::Insert(std::move(values));
+    }
+  }
+}
+
 }  // namespace testing_util
 }  // namespace cdpd
 

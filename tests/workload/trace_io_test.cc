@@ -1,6 +1,10 @@
 #include "workload/trace_io.h"
 
+#include <sys/stat.h>
+
 #include <cstdio>
+#include <fstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -84,6 +88,36 @@ TEST_F(TraceIoTest, FileRoundTrip) {
 TEST_F(TraceIoTest, MissingFileIsNotFound) {
   EXPECT_EQ(ReadTraceFile("/nonexistent/trace.sql", schema_).status().code(),
             StatusCode::kNotFound);
+}
+
+TEST_F(TraceIoTest, PipeWithoutLengthIsReadToItsEnd) {
+  const std::string path = ::testing::TempDir() + "/cdpd_trace_test.fifo";
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  std::thread writer([&path] {
+    std::ofstream out(path);
+    out << "SELECT a FROM t WHERE b = 1;\nSELECT a FROM t WHERE b = 2;\n";
+  });
+  auto parsed = ReadTraceFile(path, schema_);
+  writer.join();
+  std::remove(path.c_str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->statements,
+            (std::vector<BoundStatement>{BoundStatement::SelectPoint(0, 1, 1),
+                                         BoundStatement::SelectPoint(0, 1, 2)}));
+}
+
+TEST_F(TraceIoTest, UnreadableFileIsInternal) {
+  EXPECT_EQ(ReadTraceFile(::testing::TempDir(), schema_).status().code(),
+            StatusCode::kInternal);
+}
+
+TEST_F(TraceIoTest, BlankLinesReserveNoMoreThanTheTextHolds) {
+  const std::string blank(1 << 20, '\n');
+  auto parsed = ReadTrace(schema_, blank);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->size(), 0u);
+  EXPECT_LE(parsed->statements.capacity(), blank.size() / 16);
 }
 
 TEST_F(TraceIoTest, EmptyTraceIsEmptyWorkload) {
