@@ -7,6 +7,11 @@
 //   ping            transport + frame floor
 //   whatif          configuration costing against the resident window
 //   recommend_warm  deadline-free re-solves (resident-solution reuse)
+//   recommend_after_slide
+//                   a second server with a 100k-statement window (1000
+//                   stages): each tick INGESTs one block, then RECOMMEND
+//                   k=2 re-solves the slid window; only the RECOMMENDs
+//                   are timed
 //   mixed           90% whatif / 8% recommend / 2% ingest — ingests
 //                   slide the window, so the recommends re-solve
 //                   warm-started instead of reusing the resident answer
@@ -40,6 +45,7 @@
 #include "server/advisor_server.h"
 #include "server/client.h"
 #include "server/recorder.h"
+#include "workload/standard_workloads.h"
 
 namespace cdpd {
 namespace {
@@ -132,12 +138,85 @@ HistogramStats ServerOpStats(AdvisorService* service, const std::string& op) {
   return it != snapshot.histograms.end() ? it->second : HistogramStats{};
 }
 
+/// recommend_after_slide's window: 100k statements of the paper's W1
+/// at the default 100-statement block size, 1000 DP stages.
+constexpr size_t kSlideWindow = 100'000;
+constexpr size_t kSlideBlock = 100;
+constexpr int kSlideTicks = 60;
+
+/// The paper's W1, scaled to `count` statements, as ';'-terminated SQL
+/// lines in batches of `batch` statements.
+std::vector<std::string> W1Batches(size_t count, size_t batch) {
+  const Schema schema = MakePaperSchema();
+  const size_t blocks = PaperBlockMixLetters("W1").size();
+  WorkloadGenerator generator(schema, bench_util::kPaperDomain,
+                              bench_util::kSeed);
+  Workload workload =
+      MakeScaledPaperWorkload("W1", (count + blocks - 1) / blocks,
+                              &generator)
+          .value();
+  std::vector<std::string> batches;
+  for (size_t begin = 0; begin < count; begin += batch) {
+    std::string sql;
+    for (size_t i = begin; i < std::min(begin + batch, count); ++i) {
+      sql += workload.statements[i].ToString(schema);
+      sql += ";\n";
+    }
+    batches.push_back(std::move(sql));
+  }
+  return batches;
+}
+
+/// The re-solve a sliding window pays on every tick: its own service
+/// and server, the window filled with kSlideWindow statements, then
+/// kSlideTicks ticks of INGEST one block + RECOMMEND k=2. The ingests
+/// are untimed; the case's wall time is the sum of the RECOMMENDs.
+CaseResult RunRecommendAfterSlide(HistogramStats* server_stats) {
+  ServiceOptions options;
+  options.rows = bench_util::ExecutionRows();
+  options.block_size = kSlideBlock;
+  options.window_statements = kSlideWindow;
+  AdvisorService service(std::move(options));
+  AdvisorServer server(&service);
+  if (const Status status = server.Start(ListenOptions{}); !status.ok()) {
+    std::fprintf(stderr, "cannot start the slide server: %s\n",
+                 status.ToString().c_str());
+    std::exit(1);
+  }
+  Result<AdvisorClient> client =
+      AdvisorClient::Connect("127.0.0.1", server.port());
+  if (!client.ok()) std::exit(1);
+  const std::vector<std::string> fill = W1Batches(kSlideWindow, 10'000);
+  for (const std::string& batch : fill) {
+    if (!client->Ingest(batch).ok()) std::exit(1);
+  }
+  const std::vector<std::string> ticks = W1Batches(
+      kSlideTicks * kSlideBlock, kSlideBlock);
+
+  MetricsRegistry registry;
+  Histogram* latency_us = registry.histogram("client.request_us");
+  CaseResult result;
+  for (const std::string& tick : ticks) {
+    if (!client->Ingest(tick).ok()) ++result.errors;
+    Stopwatch watch;
+    if (!client->Recommend("k=2").ok()) ++result.errors;
+    const double seconds = watch.ElapsedSeconds();
+    result.wall_seconds += seconds;
+    latency_us->Record(seconds * 1e6);
+  }
+  result.requests = static_cast<int64_t>(ticks.size());
+  result.latency = registry.Snapshot().histograms.at("client.request_us");
+  *server_stats = ServerOpStats(&service, "recommend");
+  server.Shutdown();
+  return result;
+}
+
 void ReportCase(bench_util::BenchReport* report, const std::string& name,
                 int conns, const CaseResult& r,
                 const HistogramStats& server) {
   const double rps =
       r.wall_seconds > 0.0 ? r.requests / r.wall_seconds : 0.0;
-  std::printf("%-16s %8lld req %8.0f req/s   p50 %6.0f us   p95 %6.0f us"
+  std::printf("%-21s %8lld req %8.0f req/s   p50 %6.0f us   p95 %6.0f us"
               "   p99 %6.0f us   srv p50 %6.0f us   p99 %6.0f us"
               "   errors %lld\n",
               name.c_str(), static_cast<long long>(r.requests), rps,
@@ -218,6 +297,9 @@ void Run(bench_util::BenchReport* report) {
       });
   ReportCase(report, "recommend_warm", conns, recommend_warm,
              ServerOpStats(&service, "recommend"));
+  HistogramStats slide_server;
+  const CaseResult after_slide = RunRecommendAfterSlide(&slide_server);
+  ReportCase(report, "recommend_after_slide", 1, after_slide, slide_server);
   const std::string ingest_batch = TraceBlock();
   const auto mixed_issue = [&ingest_batch](AdvisorClient& client, int64_t i) {
     const int64_t r = i % 100;
@@ -308,7 +390,7 @@ void Run(bench_util::BenchReport* report) {
       ratios.empty() ? 1.0 : ratios[ratios.size() / 2];
   const double recorded_rps = case_rps(mixed_recorded);
   const double overhead_pct = (1.0 - median_ratio) * 100.0;
-  std::printf("%-16s %8lld req %8.0f req/s   p50 %6.0f us   p99 %6.0f us"
+  std::printf("%-21s %8lld req %8.0f req/s   p50 %6.0f us   p99 %6.0f us"
               "   overhead %+.1f%%   frames %lld   dropped %lld\n",
               "mixed_recorded",
               static_cast<long long>(mixed_recorded.requests), recorded_rps,

@@ -110,6 +110,9 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
   std::vector<std::vector<double>> candidate_columns;
   ScheduleColumns other_columns(what_if);
 
+  // One span for the refinement and its final pricing; its arg is the
+  // merge steps taken.
+  TraceSpan merge_span(tracer, "merging.merge", "solver", 0);
   for (;;) {
     const int64_t changes = RunChanges(problem, runs);
     // Fraction of the excess changes merged away so far.
@@ -122,7 +125,6 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
     if (BudgetExpired(budget)) {
       return static_fallback(changes, "deadline");
     }
-    CDPD_TRACE_SPAN(tracer, "merging.step", "solver", changes);
     if (runs.size() == 1) {
       // Only possible when the initial change counts and k == 0: the
       // single remaining run must be C0 itself.
@@ -136,6 +138,7 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
       }
       runs.front().config = problem.initial;
       ++local_stats.merge_steps;
+      merge_span.set_arg(local_stats.merge_steps);
       break;
     }
 
@@ -230,6 +233,7 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
     runs[best_pair].end = runs[best_pair + 1].end;
     runs.erase(runs.begin() + static_cast<int64_t>(best_pair) + 1);
     ++local_stats.merge_steps;
+    merge_span.set_arg(local_stats.merge_steps);
     std::vector<Run> coalesced;
     for (Run& run : runs) {
       if (!coalesced.empty() && coalesced.back().config == run.config) {

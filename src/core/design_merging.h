@@ -35,8 +35,8 @@ namespace cdpd {
 /// result is identical for any thread count.
 ///
 /// `initial_schedule.configs` must have one entry per problem segment.
-/// With a `tracer` each merging step records a "merging.step" span
-/// (arg = remaining change count before the step).
+/// With a `tracer` the refinement and its final pricing record one
+/// "merging.merge" span (arg = the merge steps taken).
 ///
 /// `budget` (optional) bounds the refinement; expiry is polled between
 /// merging rounds (a started round always completes). A mid-refinement

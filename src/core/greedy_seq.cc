@@ -78,44 +78,46 @@ Result<GreedySeqResult> SolveGreedySeq(const DesignProblem& problem,
            LogField("segments", problem.num_segments()),
            LogField("candidate_indexes", num_indexes));
   bool grow_expired = false;
-  for (size_t segment = 0;
-       segment < problem.num_segments() && !grow_expired; ++segment) {
-    ReportProgress(progress, "greedyseq.grow",
-                   static_cast<double>(segment) /
-                       static_cast<double>(problem.num_segments()));
+  {
     CDPD_TRACE_SPAN(tracer, "greedyseq.grow", "solver",
-                    static_cast<int64_t>(segment));
-    Configuration current;
-    double current_cost = what_if.SegmentCost(segment, current);
-    for (;;) {
-      if (BudgetExpired(budget)) {
-        grow_expired = true;
-        break;
-      }
-      ParallelFor(pool, 0, num_indexes, [&](size_t i) {
-        const IndexDef& index = options.candidate_indexes[i];
-        grown_costs[i] = kInf;
-        if (current.Contains(index)) return;
-        const Configuration grown = current.With(index);
-        if (grown.num_indexes() > options.max_indexes_per_config) return;
-        if (grown.SizePages(rows) > problem.space_bound_pages) return;
-        grown_costs[i] = what_if.SegmentCost(segment, grown);
-      });
-      result.stats.candidate_evaluations +=
-          static_cast<int64_t>(num_indexes);
-      double best_cost = current_cost;
-      const IndexDef* best_index = nullptr;
-      for (size_t i = 0; i < num_indexes; ++i) {
-        if (grown_costs[i] < best_cost) {
-          best_cost = grown_costs[i];
-          best_index = &options.candidate_indexes[i];
+                    static_cast<int64_t>(problem.num_segments()));
+    for (size_t segment = 0;
+         segment < problem.num_segments() && !grow_expired; ++segment) {
+      ReportProgress(progress, "greedyseq.grow",
+                     static_cast<double>(segment) /
+                         static_cast<double>(problem.num_segments()));
+      Configuration current;
+      double current_cost = what_if.SegmentCost(segment, current);
+      for (;;) {
+        if (BudgetExpired(budget)) {
+          grow_expired = true;
+          break;
         }
+        ParallelFor(pool, 0, num_indexes, [&](size_t i) {
+          const IndexDef& index = options.candidate_indexes[i];
+          grown_costs[i] = kInf;
+          if (current.Contains(index)) return;
+          const Configuration grown = current.With(index);
+          if (grown.num_indexes() > options.max_indexes_per_config) return;
+          if (grown.SizePages(rows) > problem.space_bound_pages) return;
+          grown_costs[i] = what_if.SegmentCost(segment, grown);
+        });
+        result.stats.candidate_evaluations +=
+            static_cast<int64_t>(num_indexes);
+        double best_cost = current_cost;
+        const IndexDef* best_index = nullptr;
+        for (size_t i = 0; i < num_indexes; ++i) {
+          if (grown_costs[i] < best_cost) {
+            best_cost = grown_costs[i];
+            best_index = &options.candidate_indexes[i];
+          }
+        }
+        if (best_index == nullptr) break;
+        current = current.With(*best_index);
+        current_cost = best_cost;
+        reduced.push_back(current);
+        candidate_charge.Add(current);
       }
-      if (best_index == nullptr) break;
-      current = current.With(*best_index);
-      current_cost = best_cost;
-      reduced.push_back(current);
-      candidate_charge.Add(current);
     }
   }
   std::sort(reduced.begin(), reduced.end());

@@ -51,9 +51,9 @@ struct GreedySeqResult {
 /// Each greedy growth step prices all candidate indexes in parallel
 /// across `pool` (the argmin is a serial scan in index order, so the
 /// reduced set is identical for any thread count), and the graph
-/// search inherits the pool. With a `tracer` the solve records a
-/// "greedyseq.grow" span per segment and a "greedyseq.graph" span
-/// around the reduced-set graph search.
+/// search inherits the pool. With a `tracer` the solve records one
+/// "greedyseq.grow" span around the growth (arg = the segment count)
+/// and a "greedyseq.graph" span around the reduced-set graph search.
 ///
 /// `budget` (optional) bounds the solve; expiry is polled between
 /// greedy growth steps and segments (a growth step always completes,

@@ -277,8 +277,6 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
     }
     ReportProgress(progress, "kaware.dp",
                    static_cast<double>(stage) / static_cast<double>(n));
-    CDPD_TRACE_SPAN(tracer, "kaware.stage", "solver",
-                    static_cast<int64_t>(stage));
     kernel.RelaxStage(stage, dist.data(), next.data(),
                       parent.data() + stage * layers * m);
     std::swap(dist, next);

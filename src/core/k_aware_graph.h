@@ -78,8 +78,9 @@ int64_t PredictKAwareTableBytes(int64_t num_stages,
 /// any allocation.
 ///
 /// `stats`, `pool`, and `tracer` are optional; with a tracer the solve
-/// records "kaware.precompute", "kaware.dp", and a "kaware.stage" span
-/// per DP stage (timestamps only — results are unchanged).
+/// records one "kaware.precompute" and one "kaware.dp" span (arg = the
+/// n - 1 relaxed stages), whatever n is (timestamps only — results are
+/// unchanged).
 ///
 /// `budget` (optional) bounds the solve; expiry is polled between
 /// precompute blocks and DP stages. Anytime semantics — on expiry

@@ -156,8 +156,6 @@ Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
     }
     ReportProgress(progress, "unconstrained.dp",
                    static_cast<double>(stage) / static_cast<double>(n));
-    CDPD_TRACE_SPAN(tracer, "unconstrained.stage", "solver",
-                    static_cast<int64_t>(stage));
     kernel.RelaxStage(stage, dist.data(), next.data(),
                       parent.data() + stage * m);
     std::swap(dist, next);

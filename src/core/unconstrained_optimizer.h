@@ -32,8 +32,8 @@ namespace cdpd {
 /// RelaxKernel in its one-layer mode; the result is identical for any
 /// thread count, and the reported cost is the chosen path re-priced in
 /// EvaluateScheduleCost's order (PricePath). With a `tracer` the solve
-/// records "unconstrained.precompute", "unconstrained.dp", and a
-/// "unconstrained.stage" span per DP stage.
+/// records one "unconstrained.precompute" and one "unconstrained.dp"
+/// span (arg = the stage count), whatever n is.
 ///
 /// `budget` (optional) bounds the solve: expiry is polled between
 /// precompute blocks and DP stages. Anytime semantics — on expiry

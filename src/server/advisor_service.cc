@@ -178,11 +178,11 @@ Result<RecommendRequest> ParseRecommendRequest(std::string_view text) {
   return request;
 }
 
-std::string RecommendAnswer::ToJson(const Schema& schema) const {
+std::string RecommendAnswer::ToJson(const Schema& schema, bool reused) const {
   std::string out = "{";
   out += "\"epoch\":" + std::to_string(epoch);
   out += ",\"reused_resident\":";
-  out += reused_resident ? "true" : "false";
+  out += reused ? "true" : "false";
   out += ",\"segments\":" + std::to_string(segments.size());
   out += ",\"changes\":" + std::to_string(changes);
   out += ",\"k\":";
@@ -371,6 +371,16 @@ Result<WhatIfAnswer> AdvisorService::WhatIfConfig(const Configuration& config) {
 
 Result<RecommendAnswer> AdvisorService::RecommendNow(
     const RecommendRequest& request, Tracer* tracer) {
+  bool reused = false;
+  CDPD_ASSIGN_OR_RETURN(std::shared_ptr<const RecommendAnswer> answer,
+                        Recommend(request, tracer, &reused));
+  RecommendAnswer copy = *answer;
+  copy.reused_resident = reused;
+  return copy;
+}
+
+Result<std::shared_ptr<const RecommendAnswer>> AdvisorService::Recommend(
+    const RecommendRequest& request, Tracer* tracer, bool* reused) {
   const std::shared_ptr<const WindowState> window = CurrentWindow();
   if (window->segments.empty()) {
     return Status::FailedPrecondition(
@@ -415,12 +425,11 @@ Result<RecommendAnswer> AdvisorService::RecommendNow(
     std::lock_guard<std::mutex> lock(mu_);
     if (resident_.answer != nullptr && resident_.epoch == window->epoch &&
         resident_.options_key == key) {
-      RecommendAnswer reused = *resident_.answer;
-      reused.reused_resident = true;
       recommends_metric_.Get(&registry_, "server.recommends")->Add(1);
       recommends_reused_metric_.Get(&registry_, "server.recommends_reused")
           ->Add(1);
-      return reused;
+      *reused = true;
+      return resident_.answer;
     }
   }
 
@@ -476,11 +485,8 @@ Result<RecommendAnswer> AdvisorService::RecommendNow(
     }
   }
   recommends_metric_.Get(&registry_, "server.recommends")->Add(1);
-  if (session_.cost_cache() != nullptr) {
-    session_.cost_cache()->PublishTo(&registry_);
-  }
-  SampleProcessMemory(&registry_);
-  return *answer;
+  *reused = false;
+  return std::shared_ptr<const RecommendAnswer>(std::move(answer));
 }
 
 Result<std::string> AdvisorService::Handle(uint8_t opcode,
@@ -513,9 +519,10 @@ Result<std::string> AdvisorService::Handle(uint8_t opcode,
       }();
       CDPD_RETURN_IF_ERROR(request.status());
       CDPD_TRACE_SPAN(ctx.tracer, "request.solve", "server");
-      CDPD_ASSIGN_OR_RETURN(RecommendAnswer answer,
-                            RecommendNow(*request, ctx.tracer));
-      return answer.ToJson(options_.schema);
+      bool reused = false;
+      CDPD_ASSIGN_OR_RETURN(std::shared_ptr<const RecommendAnswer> answer,
+                            Recommend(*request, ctx.tracer, &reused));
+      return answer->ToJson(options_.schema, reused);
     }
     case ServerOp::kStats:
       return StatsJson();

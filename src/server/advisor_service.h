@@ -161,7 +161,12 @@ struct RecommendAnswer {
   /// only taken for deadline-free requests).
   bool reused_resident = false;
   uint64_t epoch = 0;
-  std::string ToJson(const Schema& schema) const;
+  std::string ToJson(const Schema& schema) const {
+    return ToJson(schema, reused_resident);
+  }
+  /// The same document with `reused` in place of reused_resident, so a
+  /// caller holding the shared resident answer encodes it uncopied.
+  std::string ToJson(const Schema& schema, bool reused) const;
 };
 
 /// The resident advisor behind advisor_server: keeps the catalog, a
@@ -295,6 +300,13 @@ class AdvisorService {
   };
 
   std::shared_ptr<const WindowState> CurrentWindow() const;
+
+  /// The RECOMMEND behind RecommendNow and Handle: the resident answer
+  /// itself, shared rather than copied, with *reused telling whether
+  /// the identical-window short-circuit served it. Its own
+  /// reused_resident field is always false.
+  Result<std::shared_ptr<const RecommendAnswer>> Recommend(
+      const RecommendRequest& request, Tracer* tracer, bool* reused);
 
   ServiceOptions options_;
   CostModel model_;

@@ -430,6 +430,52 @@ TEST(AdvisorServiceTest, ResidentSolutionAnswersIdenticalRepeatRequests) {
       service.RecommendNow(RecommendRequest{}).value().reused_resident);
 }
 
+// RECOMMEND on the wire encodes the resident answer itself, uncopied:
+// Handle's bytes equal RecommendNow's answer encoded with the reuse
+// flag of the call that produced them — fresh or reused, on either
+// entry point, across window slides.
+TEST(AdvisorServiceTest, HandleRecommendEncodesTheResidentAnswer) {
+  AdvisorService service(SmallServiceOptions());
+  const Schema& schema = service.schema();
+  const auto handle = [&] {
+    Result<std::string> json =
+        service.Handle(static_cast<uint8_t>(ServerOp::kRecommend), "k=2");
+    EXPECT_TRUE(json.ok()) << json.status();
+    return json.ok() ? *json : std::string();
+  };
+  RecommendRequest request;
+  request.k = 2;
+  const auto encoded_as = [&](RecommendAnswer answer, bool reused) {
+    answer.reused_resident = reused;
+    return answer.ToJson(schema);
+  };
+  const std::string fresh_flag = "\"reused_resident\":false";
+  const std::string reused_flag = "\"reused_resident\":true";
+  for (int slide = 1; slide <= 4; ++slide) {
+    ASSERT_TRUE(service.IngestSql(TraceBatch(slide)).ok());
+    if (slide % 2 == 1) {
+      // Fresh on the wire, then reused by the typed call and the wire.
+      const std::string fresh = handle();
+      EXPECT_NE(fresh.find(fresh_flag), std::string::npos) << slide;
+      const RecommendAnswer reused = service.RecommendNow(request).value();
+      EXPECT_TRUE(reused.reused_resident);
+      EXPECT_EQ(fresh, encoded_as(reused, false)) << slide;
+      const std::string reused_wire = handle();
+      EXPECT_NE(reused_wire.find(reused_flag), std::string::npos) << slide;
+      EXPECT_EQ(reused_wire, reused.ToJson(schema)) << slide;
+    } else {
+      // Fresh from the typed call, then reused on the wire.
+      const RecommendAnswer fresh = service.RecommendNow(request).value();
+      EXPECT_FALSE(fresh.reused_resident);
+      const std::string reused_wire = handle();
+      EXPECT_NE(reused_wire.find(reused_flag), std::string::npos) << slide;
+      EXPECT_EQ(reused_wire, encoded_as(fresh, true)) << slide;
+      EXPECT_EQ(reused_wire, service.RecommendNow(request)->ToJson(schema))
+          << slide;
+    }
+  }
+}
+
 TEST(AdvisorServiceTest, ApplyAdoptsTheFinalConfigAsInitial) {
   AdvisorService service(SmallServiceOptions());
   ASSERT_TRUE(service.IngestSql(TraceBatch(5)).ok());
