@@ -17,7 +17,6 @@
 #include "core/relax_stage.h"
 #include "core/sequence_graph.h"
 #include "core/solver.h"
-#include "cost/cost_cache.h"
 #include "cost/what_if.h"
 #include "workload/generator.h"
 
@@ -129,11 +128,9 @@ double DpCellsPerSec(const CostMatrix& matrix, const CandidateSpace& space,
 /// relaxations_per_sec column: k-aware DPs large enough to outlast
 /// timer noise (240 stages, k = 4) over every subset of 6, 8 and 10
 /// candidate indexes (m = 64, 256, 1024 — all lattice-path spaces).
-/// Each is solved cold through a persistent cost cache; m = 64 is then
-/// re-solved warm, which also reports its cache_hit_rate. Next to
-/// relaxations/s the table prints dp_cells_per_sec of the kernel alone,
-/// on the lattice path the solver takes and on the scan oracle (timed
-/// over a stage prefix where a full scan would be slow).
+/// Next to relaxations/s the table prints dp_cells_per_sec of the
+/// kernel alone, on the lattice path the solver takes and on the scan
+/// oracle (timed over a stage prefix where a full scan would be slow).
 void RunDpThroughput(bench_util::BenchReport* report) {
   using bench_util::PrintHeader;
   const Schema schema = MakePaperSchema();
@@ -177,18 +174,13 @@ void RunDpThroughput(bench_util::BenchReport* report) {
     solve_options.method = OptimizerMethod::kOptimal;
     solve_options.k = kK;
     bench_util::AttachObservability(&solve_options);
-    CostCache cache;
-    solve_options.cost_cache = &cache;
     const std::string name = "kaware_dp_n240_m" + std::to_string(m) + "_k4";
-    const SolveResult cold = Solve(problem, solve_options).value();
-    report->AddCase(name, cold.stats.wall_seconds, cold.stats);
+    const SolveResult solved = Solve(problem, solve_options).value();
+    report->AddCase(name, solved.stats.wall_seconds, solved.stats);
 
-    // The kernel alone, over the matrix the solve priced (a warm cache
-    // makes this precompute cheap).
+    // The kernel alone, over the same matrix the solve priced.
     const CostMatrix matrix =
-        what_if.PrecomputeCostMatrix(problem.candidates, nullptr, nullptr,
-                                     nullptr, nullptr, nullptr, &cache)
-            .value();
+        what_if.PrecomputeCostMatrix(problem.candidates).value();
     const size_t layers = static_cast<size_t>(kK) + 1;
     const RelaxPath path = ChooseRelaxPath(problem.candidates);
     const double cells =
@@ -198,31 +190,13 @@ void RunDpThroughput(bench_util::BenchReport* report) {
     const double scan_cells = DpCellsPerSec(
         matrix, problem.candidates, layers, RelaxPath::kScan, scan_stages);
     std::printf("%6zu %4zu %10.2f %12lld %12.3g %17.3g %17.3g %7.1fx\n", m,
-                u, cold.stats.wall_seconds * 1e3,
-                static_cast<long long>(cold.stats.relaxations),
-                cold.stats.wall_seconds > 0.0
-                    ? static_cast<double>(cold.stats.relaxations) /
-                          cold.stats.wall_seconds
+                u, solved.stats.wall_seconds * 1e3,
+                static_cast<long long>(solved.stats.relaxations),
+                solved.stats.wall_seconds > 0.0
+                    ? static_cast<double>(solved.stats.relaxations) /
+                          solved.stats.wall_seconds
                     : 0.0,
                 cells, scan_cells, scan_cells > 0.0 ? cells / scan_cells : 0.0);
-    if (u != 6) continue;
-
-    // Warm re-solve: a fresh engine over the same workload, so every
-    // reused cost comes from the persistent cache.
-    WhatIfEngine warm_engine(&model, workload.statements, segments);
-    DesignProblem warm_problem = problem;
-    warm_problem.what_if = &warm_engine;
-    const SolveResult warm = Solve(warm_problem, solve_options).value();
-    report->AddCase(name + "_warm", warm.stats.wall_seconds, warm.stats);
-    const long long probes =
-        warm.stats.cost_cache_hits + warm.stats.cost_cache_misses;
-    std::printf("  m = 64 warm: %.4f s, cost-cache hit rate %.3f "
-                "(%lld hits / %lld probes)\n",
-                warm.stats.wall_seconds,
-                probes > 0 ? static_cast<double>(warm.stats.cost_cache_hits) /
-                                 static_cast<double>(probes)
-                           : 0.0,
-                static_cast<long long>(warm.stats.cost_cache_hits), probes);
   }
   bench_util::PrintRule();
 }

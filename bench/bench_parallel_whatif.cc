@@ -81,11 +81,11 @@ struct Run {
   SolveResult result;
 };
 
-/// Solves with `threads` workers on a FRESH what-if engine (no cost
-/// cache), so every run pays the full precompute and the wall times
-/// are comparable. `metrics`/`tracer` attach observability sinks to
-/// the solve (the determinism rows below prove they only observe);
-/// `deadline_ms >= 0` attaches a wall-clock budget.
+/// Solves with `threads` workers on a FRESH what-if engine, so every
+/// run pays the full precompute and the wall times are comparable.
+/// `metrics`/`tracer` attach observability sinks to the solve (the
+/// determinism rows below prove they only observe); `deadline_ms >= 0`
+/// attaches a wall-clock budget.
 Run SolveWith(int threads, MetricsRegistry* metrics = nullptr,
               Tracer* tracer = nullptr, int64_t deadline_ms = -1) {
   std::unique_ptr<ProblemFixture> fixture = MakeFixture();
@@ -122,13 +122,11 @@ void Report(bench_util::BenchReport* report) {
 
   const Run serial = SolveWith(1);
   report->AddCase("solve_threads1", serial.seconds, serial.result.stats);
-  std::printf("%8s %12s %10s %12s %12s %10s\n", "threads", "wall ms",
-              "speedup", "costings", "cc hits", "same?");
-  std::printf("%8d %12.2f %10s %12lld %12lld %10s\n", serial.threads,
+  std::printf("%8s %12s %10s %12s %10s\n", "threads", "wall ms", "speedup",
+              "costings", "same?");
+  std::printf("%8d %12.2f %10s %12lld %10s\n", serial.threads,
               serial.seconds * 1e3, "1.00x",
-              static_cast<long long>(serial.result.stats.costings),
-              static_cast<long long>(serial.result.stats.cost_cache_hits),
-              "(base)");
+              static_cast<long long>(serial.result.stats.costings), "(base)");
 
   bool all_identical = true;
   for (int threads : {2, 4, 8}) {
@@ -140,10 +138,9 @@ void Report(bench_util::BenchReport* report) {
         run.result.schedule.total_cost == serial.result.schedule.total_cost &&
         run.result.stats.costings == serial.result.stats.costings;
     all_identical = all_identical && same_schedule;
-    std::printf("%8d %12.2f %9.2fx %12lld %12lld %10s\n", run.threads,
+    std::printf("%8d %12.2f %9.2fx %12lld %10s\n", run.threads,
                 run.seconds * 1e3, serial.seconds / run.seconds,
                 static_cast<long long>(run.result.stats.costings),
-                static_cast<long long>(run.result.stats.cost_cache_hits),
                 same_schedule ? "yes" : "NO");
   }
   // Observability must only observe: the same solve with a tracer and

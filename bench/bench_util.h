@@ -112,8 +112,8 @@ inline void WriteObservabilityArtifacts() {
 /// of them, and CI uploads every run's set next to the committed
 /// baseline in bench/baselines/.
 ///
-/// Schema (version 3 — v2 plus the DP-throughput and cost-cache
-/// columns; readers accept all three):
+/// Schema (version 3 — v2 plus the throughput columns; readers accept
+/// all three):
 ///   {
 ///     "schema_version": 3,
 ///     "kind": "cdpd.bench",
@@ -127,7 +127,6 @@ inline void WriteObservabilityArtifacts() {
 ///       {"name": "...", "wall_seconds": 1.25, "cpu_seconds": 4.8,
 ///        "peak_bytes": 1048576,
 ///        "relaxations_per_sec": 2.1e8,      // solver cases only
-///        "cache_hit_rate": 0.97,            // cost-cache cases only
 ///        "statements_per_sec": 3.4e5,       // scaling cases only
 ///        "requests_per_sec": 1.2e4,         // serving cases only
 ///        "metrics": {"costings": 831, ...}},
@@ -140,13 +139,12 @@ inline void WriteObservabilityArtifacts() {
 /// case's cpu_seconds/peak_bytes columns from the solve's process-CPU
 /// delta and tracked allocation peak, plus the v3 columns:
 /// relaxations_per_sec = stats.relaxations / wall, emitted when the
-/// solve relaxed anything, and cache_hit_rate = cost-cache hits /
-/// (hits + misses), emitted when a persistent cost cache was probed),
-/// or hand-picked values for substrate benches. tools/bench_compare
-/// diffs wall time on every case, peak_bytes on cases that report
-/// one, and (v3) gates throughput drops on relaxations_per_sec and
-/// hit-rate drops on cache_hit_rate. The artifact lands in
-/// $CDPD_BENCH_OUT_DIR (else the working directory).
+/// solve relaxed anything), or hand-picked values for substrate
+/// benches. tools/bench_compare diffs wall time on every case,
+/// peak_bytes on cases that report one, and (v3) gates throughput
+/// drops on relaxations_per_sec, statements_per_sec and
+/// requests_per_sec. The artifact lands in $CDPD_BENCH_OUT_DIR (else
+/// the working directory).
 class BenchReport {
  public:
   explicit BenchReport(std::string bench) : bench_(std::move(bench)) {}
@@ -182,9 +180,8 @@ class BenchReport {
   /// counters (core/solve_stats.h ToJson) as the case metrics. The
   /// v2 telemetry columns come from the solve itself: process-CPU
   /// delta and the ResourceTracker's concurrent high-water mark. The
-  /// v3 columns are derived: DP throughput from relaxations / wall,
-  /// cost-cache hit rate from the solve's hit/miss deltas (absent
-  /// when the solve relaxed nothing / probed no persistent cache).
+  /// v3 DP-throughput column is derived from relaxations / wall
+  /// (absent when the solve relaxed nothing).
   /// `num_statements` (optional) is the workload length the solve
   /// covered; when given with a positive wall time the case also
   /// reports statements_per_sec — the end-to-end scaling throughput
@@ -200,12 +197,6 @@ class BenchReport {
     if (num_statements > 0 && wall_seconds > 0.0) {
       c.statements_per_sec =
           static_cast<double>(num_statements) / wall_seconds;
-    }
-    const int64_t probes = stats.cost_cache_hits + stats.cost_cache_misses;
-    if (probes > 0) {
-      c.cache_hit_rate =
-          static_cast<double>(stats.cost_cache_hits) /
-          static_cast<double>(probes);
     }
     cases_.push_back(std::move(c));
   }
@@ -238,9 +229,6 @@ class BenchReport {
       }
       if (c.requests_per_sec > 0.0) {
         out += ",\"requests_per_sec\":" + JsonDouble(c.requests_per_sec);
-      }
-      if (c.cache_hit_rate >= 0.0) {
-        out += ",\"cache_hit_rate\":" + JsonDouble(c.cache_hit_rate);
       }
       if (!c.stats_json.empty()) {
         out += ",\"metrics\":" + c.stats_json;
@@ -298,9 +286,8 @@ class BenchReport {
     /// Schema-v2 telemetry columns; 0 = not reported.
     double cpu_seconds = 0.0;
     int64_t peak_bytes = 0;
-    /// Schema-v3 columns; <= 0 / < 0 = not reported (omitted).
+    /// Schema-v3 columns; <= 0 = not reported (omitted).
     double relaxations_per_sec = 0.0;
-    double cache_hit_rate = -1.0;
     double statements_per_sec = 0.0;
     double requests_per_sec = 0.0;
   };

@@ -3,7 +3,7 @@
 //   advisor_cli [trace.sql] [--k N] [--block N] [--method NAME]
 //               [--threads N] [--rows N] [--deadline-ms N]
 //               [--memory-limit-bytes N] [--segments N] [--prune]
-//               [--session-reuse N] [--calibrate]
+//               [--calibrate]
 //               [--emit-ddl] [--explain] [--mem-stats] [--quiet]
 //               [--metrics-out=FILE] [--trace-out=FILE]
 //               [--explain-out=FILE] [--log-out=FILE]
@@ -58,7 +58,6 @@ struct CliArgs {
   int64_t deadline_ms = -1;  // < 0 = no deadline.
   int64_t memory_limit_bytes = -1;  // < 0 = no limit.
   int64_t segments = 0;       // Chunks for segment-parallel solving; 0 = auto.
-  int64_t session_reuse = 1;  // Recommend() passes through one warm cache.
   bool prune = false;         // Dominance-prune the candidate space.
   bool calibrate = false;
   bool emit_ddl = false;
@@ -102,9 +101,6 @@ void PrintHelp(std::FILE* out) {
       "  --prune           drop dominated candidate configurations\n"
       "                    before solving (exact; see the explain\n"
       "                    header's scale line)\n"
-      "  --session-reuse N run the recommendation N times through one\n"
-      "                    warm what-if cost cache (the SolverSession\n"
-      "                    amortization path); reports per-pass times\n"
       "  --calibrate       measure cost-model constants on a scratch db\n"
       "  --emit-ddl        print the CREATE/DROP INDEX script\n"
       "\n"
@@ -224,10 +220,6 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       }
     } else if (name == "--segments") {
       if (!take_int(&args->segments) || args->segments < 0) return false;
-    } else if (name == "--session-reuse") {
-      if (!take_int(&args->session_reuse) || args->session_reuse < 1) {
-        return false;
-      }
     } else if (name == "--method") {
       if (!take_string(&args->method)) return false;
     } else if (name == "--metrics-out") {
@@ -444,19 +436,7 @@ int main(int argc, char** argv) {
       bar.Update(update);
     };
   }
-  CostCache session_cache;
-  if (args.session_reuse > 1) options.cost_cache = &session_cache;
   auto rec = advisor.Recommend(trace, options);
-  for (int64_t pass = 2; pass <= args.session_reuse && rec.ok(); ++pass) {
-    if (chatty) {
-      std::printf("session pass %lld/%lld: %.3fs, %lld cost-cache hits\n",
-                  static_cast<long long>(pass - 1),
-                  static_cast<long long>(args.session_reuse),
-                  rec->stats.wall_seconds,
-                  static_cast<long long>(rec->stats.cost_cache_hits));
-    }
-    rec = advisor.Recommend(trace, options);
-  }
   if (show_progress) bar.Finish();
   if (!rec.ok()) {
     std::fprintf(stderr, "advisor failed: %s\n",
@@ -481,10 +461,9 @@ int main(int argc, char** argv) {
   }
   if (chatty) {
     std::printf(
-        "solver stats: %d thread(s), %lld what-if costings, %lld cost-cache "
-        "hits, %lld nodes expanded\n",
+        "solver stats: %d thread(s), %lld what-if costings, %lld nodes "
+        "expanded\n",
         stats.threads_used, static_cast<long long>(stats.costings),
-        static_cast<long long>(stats.cost_cache_hits),
         static_cast<long long>(stats.nodes_expanded));
     if (stats.pruned_configs > 0 || stats.segment_chunks > 0) {
       std::printf("scale: %lld dominated configs pruned, %lld segment "
@@ -577,14 +556,14 @@ int main(int argc, char** argv) {
     // exporting, so the artifact can be trusted to match the printout.
     const SolveStats from_registry = SolveStats::FromSnapshot(snapshot);
     if (from_registry.costings != stats.costings ||
-        from_registry.cost_cache_hits != stats.cost_cache_hits) {
+        from_registry.nodes_expanded != stats.nodes_expanded) {
       std::fprintf(stderr,
                    "metrics/stats mismatch: registry %lld costings / %lld "
-                   "cost-cache hits, SolveStats %lld / %lld\n",
+                   "nodes expanded, SolveStats %lld / %lld\n",
                    static_cast<long long>(from_registry.costings),
-                   static_cast<long long>(from_registry.cost_cache_hits),
+                   static_cast<long long>(from_registry.nodes_expanded),
                    static_cast<long long>(stats.costings),
-                   static_cast<long long>(stats.cost_cache_hits));
+                   static_cast<long long>(stats.nodes_expanded));
       return 1;
     }
     if (!WriteFile(args.metrics_out, snapshot.ToJson())) {

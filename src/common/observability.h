@@ -15,11 +15,9 @@ namespace cdpd {
 /// they are passed to), all observational only — results are
 /// byte-identical with or without any of them, for any thread count.
 ///
-/// SolveOptions and AdvisorOptions embed one of these for per-call
-/// injection; SolverSession holds one as the session-wide default and
-/// merges it under each call's sinks with OrElse(). A default
-/// Observability{} disables everything at the cost of one pointer test
-/// per instrumentation site.
+/// SolveOptions, AdvisorOptions and ServiceOptions embed one of these.
+/// A default Observability{} disables everything at the cost of one
+/// pointer test per instrumentation site.
 struct Observability {
   /// Receives the "solver.*" counters (via SolveStats::PublishTo), the
   /// what-if engine's "whatif.*" metrics, and the worker pool's
@@ -36,18 +34,6 @@ struct Observability {
   /// stages, merging rounds, ranked paths). MUST be thread-safe —
   /// precompute shards report from worker threads. Empty = disabled.
   ProgressFn progress;
-
-  /// This set of sinks with every unset slot filled from `fallback` —
-  /// how SolverSession layers its session-wide defaults under a call's
-  /// own injections (the call's non-null sinks always win).
-  Observability OrElse(const Observability& fallback) const {
-    Observability merged = *this;
-    if (merged.metrics == nullptr) merged.metrics = fallback.metrics;
-    if (merged.tracer == nullptr) merged.tracer = fallback.tracer;
-    if (merged.logger == nullptr) merged.logger = fallback.logger;
-    if (!merged.progress) merged.progress = fallback.progress;
-    return merged;
-  }
 };
 
 }  // namespace cdpd

@@ -30,8 +30,6 @@ std::string_view MemComponentName(MemComponent component) {
       return "candidates";
     case MemComponent::kMergingTable:
       return "merging_table";
-    case MemComponent::kCostCache:
-      return "cost_cache";
   }
   return "unknown";
 }
@@ -54,23 +52,6 @@ void ResourceTracker::Release(MemComponent component, int64_t bytes) {
   if (bytes <= 0) return;
   Cell(component).current.fetch_sub(bytes, std::memory_order_relaxed);
   total_current_.fetch_sub(bytes, std::memory_order_relaxed);
-}
-
-int64_t ResourceTracker::ReleaseUpTo(MemComponent component, int64_t bytes) {
-  if (bytes <= 0) return 0;
-  Cell64& cell = Cell(component);
-  // CAS-clamp on the component gauge: concurrent evictors each release
-  // only what is actually charged, so the sum of releases never
-  // exceeds the sum of reservations.
-  int64_t seen = cell.current.load(std::memory_order_relaxed);
-  int64_t take = 0;
-  do {
-    take = seen < bytes ? seen : bytes;
-    if (take <= 0) return 0;
-  } while (!cell.current.compare_exchange_weak(seen, seen - take,
-                                               std::memory_order_relaxed));
-  total_current_.fetch_sub(take, std::memory_order_relaxed);
-  return take;
 }
 
 bool ResourceTracker::TryReserve(MemComponent component, int64_t bytes) {

@@ -24,9 +24,8 @@ enum class MemComponent : int {
   kRankingQueue,       // Path ranker per-node path/candidate heaps.
   kCandidates,         // GREEDY-SEQ reduced candidate set.
   kMergingTable,       // Design-merging penalty tables.
-  kCostCache,          // Persistent what-if cost cache growth.
 };
-inline constexpr int kNumMemComponents = 7;
+inline constexpr int kNumMemComponents = 6;
 
 /// Stable short name ("cost_matrix", "kaware_table", ...), used as the
 /// metrics suffix and the JSON key.
@@ -70,15 +69,6 @@ class ResourceTracker {
   /// Returns the charge of a prior Reserve. Never un-trips the limit
   /// flag: expiry is monotone, like a deadline.
   void Release(MemComponent component, int64_t bytes);
-
-  /// Releases min(bytes, current_bytes(component)) and returns the
-  /// amount actually released. This is the safe release for shared
-  /// structures (the persistent cost cache) that evict entries charged
-  /// by *several* trackers over their lifetime: the evicting solve
-  /// returns what it is still carrying, clamped so entries charged to
-  /// an earlier (possibly dead) tracker can never drive this one's
-  /// gauge negative. Like Release, never un-trips the limit flag.
-  int64_t ReleaseUpTo(MemComponent component, int64_t bytes);
 
   /// Pre-allocation gate: charges and returns true when the new total
   /// stays within the limit; otherwise charges *nothing*, trips the

@@ -98,7 +98,6 @@ Result<Recommendation> Advisor::Recommend(const Workload& workload,
   solve_options.observability = options.observability;
   solve_options.prune_dominated = options.prune_dominated;
   solve_options.segmented = options.segmented;
-  solve_options.cost_cache = options.cost_cache;
   solve_options.explain = options.explain;
   solve_options.deadline = options.deadline;
   solve_options.cancel = options.cancel;

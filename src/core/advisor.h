@@ -70,10 +70,6 @@ struct AdvisorOptions {
   /// SolveOptions::prune_dominated / SolveOptions::segmented.
   bool prune_dominated = false;
   SegmentSolveOptions segmented;
-  /// Persistent what-if cost cache, forwarded to
-  /// SolveOptions::cost_cache (optional, borrowed; see
-  /// cost/cost_cache.h). SolverSession is the usual owner.
-  CostCache* cost_cache = nullptr;
   /// Build the per-transition EXEC/TRANS attribution into
   /// Recommendation::explain (see core/explain.h).
   bool explain = false;
@@ -106,8 +102,8 @@ struct Recommendation {
   std::vector<IndexDef> candidate_indexes;
   std::vector<Configuration> candidate_configs;
   int64_t changes = 0;
-  /// Unified solver counters (wall time, what-if costings, cache hits,
-  /// threads used, nodes expanded).
+  /// Unified solver counters (wall time, what-if costings, threads
+  /// used, nodes expanded).
   SolveStats stats;
   /// Technique detail (e.g. which branch the hybrid picked).
   std::string method_detail;

@@ -208,9 +208,7 @@ std::string ExplainReport::ToText(const Schema& schema) const {
   }
   out += "  solve:          " + ShortDouble(stats.wall_seconds) + " s, " +
          std::to_string(stats.threads_used) + " threads, " +
-         std::to_string(stats.costings) + " costings (cost cache " +
-         std::to_string(stats.cost_cache_hits) + " hits / " +
-         std::to_string(stats.cost_cache_misses) + " misses)\n";
+         std::to_string(stats.costings) + " costings\n";
   // Scale line only when pruning or segmenting actually engaged, so
   // golden reports from plain solves render byte-identically.
   if (stats.pruned_configs > 0 || stats.segment_chunks > 0) {

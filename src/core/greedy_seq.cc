@@ -15,8 +15,7 @@ Result<GreedySeqResult> SolveGreedySeq(const DesignProblem& problem,
                                        const Budget* budget,
                                        const ProgressFn* progress,
                                        Logger* logger,
-                                       ResourceTracker* tracker,
-                                       CostCache* cost_cache) {
+                                       ResourceTracker* tracker) {
   if (problem.what_if == nullptr) {
     return Status::InvalidArgument("design problem has no what-if oracle");
   }
@@ -151,19 +150,16 @@ Result<GreedySeqResult> SolveGreedySeq(const DesignProblem& problem,
       CDPD_ASSIGN_OR_RETURN(
           result.schedule,
           SolveUnconstrained(reduced_problem, &graph_stats, pool, tracer,
-                             graph_budget, progress, logger, tracker,
-                             cost_cache));
+                             graph_budget, progress, logger, tracker));
     } else {
       CDPD_ASSIGN_OR_RETURN(
           result.schedule,
           SolveKAware(reduced_problem, *k, &graph_stats, pool, tracer,
-                      graph_budget, progress, logger, tracker, cost_cache));
+                      graph_budget, progress, logger, tracker));
     }
   }
   result.stats.nodes_expanded = graph_stats.nodes_expanded;
   result.stats.relaxations = graph_stats.relaxations;
-  result.stats.cost_cache_hits = graph_stats.cost_cache_hits;
-  result.stats.cost_cache_misses = graph_stats.cost_cache_misses;
   result.stats.deadline_hit = grow_expired || graph_stats.deadline_hit;
   result.stats.best_effort = grow_expired || graph_stats.best_effort;
   result.stats.wall_seconds = watch.ElapsedSeconds();

@@ -14,7 +14,6 @@
 #include "core/design_problem.h"
 #include "core/k_aware_graph.h"
 #include "core/solve_stats.h"
-#include "cost/cost_cache.h"
 
 namespace cdpd {
 
@@ -85,8 +84,7 @@ Result<GreedySeqResult> SolveGreedySeq(const DesignProblem& problem,
                                        const Budget* budget = nullptr,
                                        const ProgressFn* progress = nullptr,
                                        Logger* logger = nullptr,
-                                       ResourceTracker* tracker = nullptr,
-                                       CostCache* cost_cache = nullptr);
+                                       ResourceTracker* tracker = nullptr);
 
 }  // namespace cdpd
 

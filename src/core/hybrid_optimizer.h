@@ -12,7 +12,6 @@
 #include "common/tracing.h"
 #include "core/design_problem.h"
 #include "core/solve_stats.h"
-#include "cost/cost_cache.h"
 
 namespace cdpd {
 
@@ -83,8 +82,7 @@ Result<HybridResult> SolveHybrid(const DesignProblem& problem, int64_t k,
                                  const Budget* budget = nullptr,
                                  const ProgressFn* progress = nullptr,
                                  Logger* logger = nullptr,
-                                 ResourceTracker* tracker = nullptr,
-                                 CostCache* cost_cache = nullptr);
+                                 ResourceTracker* tracker = nullptr);
 
 }  // namespace cdpd
 

@@ -73,8 +73,7 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
                                    SolveStats* stats, ThreadPool* pool,
                                    Tracer* tracer, const Budget* budget,
                                    const ProgressFn* progress, Logger* logger,
-                                   ResourceTracker* tracker,
-                                   CostCache* cost_cache) {
+                                   ResourceTracker* tracker) {
   CDPD_RETURN_IF_ERROR(problem.Validate());
   if (k < 0) {
     return Status::InvalidArgument("change bound k must be >= 0");
@@ -161,10 +160,7 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
     CDPD_TRACE_SPAN(tracer, "kaware.precompute", "solver");
     CDPD_ASSIGN_OR_RETURN(
         matrix, what_if.PrecomputeCostMatrix(configs, pool, tracer, budget,
-                                             progress, logger, cost_cache,
-                                             tracker));
-    local_stats.cost_cache_hits = matrix.cache_hits();
-    local_stats.cost_cache_misses = matrix.cache_misses();
+                                             progress, logger));
     if (!matrix.complete()) {
       return Status::DeadlineExceeded(
           "budget expired during the what-if precompute, before any "

@@ -11,7 +11,6 @@
 #include "common/tracing.h"
 #include "core/design_problem.h"
 #include "core/solve_stats.h"
-#include "cost/cost_cache.h"
 
 namespace cdpd {
 
@@ -103,10 +102,6 @@ int64_t PredictKAwareTableBytes(int64_t num_stages,
 /// the solve degrades instead of allocating: it returns
 /// BestStaticSchedule (flagged best_effort/deadline_hit) rather than
 /// building tables it has no budget for.
-///
-/// `cost_cache` (optional) is the persistent cross-solve what-if cache
-/// threaded into the precompute (see WhatIfEngine::PrecomputeCostMatrix
-/// and cost/cost_cache.h); it changes probe counts, never costs.
 Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
                                    SolveStats* stats = nullptr,
                                    ThreadPool* pool = nullptr,
@@ -114,8 +109,7 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
                                    const Budget* budget = nullptr,
                                    const ProgressFn* progress = nullptr,
                                    Logger* logger = nullptr,
-                                   ResourceTracker* tracker = nullptr,
-                                   CostCache* cost_cache = nullptr);
+                                   ResourceTracker* tracker = nullptr);
 
 }  // namespace cdpd
 

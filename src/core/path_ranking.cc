@@ -118,8 +118,7 @@ Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
                                       const Budget* budget,
                                       const ProgressFn* progress,
                                       Logger* logger,
-                                      ResourceTracker* tracker,
-                                      CostCache* cost_cache) {
+                                      ResourceTracker* tracker) {
   CDPD_RETURN_IF_ERROR(problem.Validate());
   if (k < 0) {
     return Status::InvalidArgument("change bound k must be >= 0");
@@ -175,10 +174,7 @@ Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
     CDPD_TRACE_SPAN(tracer, "ranking.precompute", "solver");
     CDPD_ASSIGN_OR_RETURN(
         matrix, what_if.PrecomputeCostMatrix(problem.candidates, pool, tracer,
-                                             budget, progress, logger,
-                                             cost_cache, tracker));
-    local_stats.cost_cache_hits = matrix.cache_hits();
-    local_stats.cost_cache_misses = matrix.cache_misses();
+                                             budget, progress, logger));
   }
   if (!matrix.complete()) {
     return Status::DeadlineExceeded(

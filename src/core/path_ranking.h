@@ -12,7 +12,6 @@
 #include "common/thread_pool.h"
 #include "common/tracing.h"
 #include "core/design_problem.h"
-#include "cost/cost_cache.h"
 #include "core/sequence_graph.h"
 #include "core/solve_stats.h"
 
@@ -138,8 +137,7 @@ Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
                                       const Budget* budget = nullptr,
                                       const ProgressFn* progress = nullptr,
                                       Logger* logger = nullptr,
-                                      ResourceTracker* tracker = nullptr,
-                                      CostCache* cost_cache = nullptr);
+                                      ResourceTracker* tracker = nullptr);
 
 }  // namespace cdpd
 

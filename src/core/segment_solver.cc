@@ -97,8 +97,7 @@ ChunkWork RunChunkDp(const CostMatrix& matrix, const CandidateSpace& space,
 Result<DesignSchedule> SolveKAwareSegmented(
     const DesignProblem& problem, int64_t k, size_t num_chunks,
     SolveStats* stats, ThreadPool* pool, Tracer* tracer, const Budget* budget,
-    const ProgressFn* progress, Logger* logger, ResourceTracker* tracker,
-    CostCache* cost_cache) {
+    const ProgressFn* progress, Logger* logger, ResourceTracker* tracker) {
   CDPD_RETURN_IF_ERROR(problem.Validate());
   if (k < 0) {
     return Status::InvalidArgument("change bound k must be >= 0");
@@ -108,7 +107,7 @@ Result<DesignSchedule> SolveKAwareSegmented(
     // Degenerate decomposition: the monolithic DP is the same
     // computation without the redundancy.
     return SolveKAware(problem, k, stats, pool, tracer, budget, progress,
-                       logger, tracker, cost_cache);
+                       logger, tracker);
   }
   const WhatIfEngine& what_if = *problem.what_if;
   const Stopwatch watch;
@@ -220,10 +219,7 @@ Result<DesignSchedule> SolveKAwareSegmented(
     CDPD_TRACE_SPAN(tracer, "segment.precompute", "solver");
     CDPD_ASSIGN_OR_RETURN(
         matrix, what_if.PrecomputeCostMatrix(configs, pool, tracer, budget,
-                                             progress, logger, cost_cache,
-                                             tracker));
-    local_stats.cost_cache_hits = matrix.cache_hits();
-    local_stats.cost_cache_misses = matrix.cache_misses();
+                                             progress, logger));
     if (!matrix.complete()) {
       return Status::DeadlineExceeded(
           "budget expired during the what-if precompute, before any "

@@ -12,7 +12,6 @@
 #include "common/tracing.h"
 #include "core/design_problem.h"
 #include "core/solve_stats.h"
-#include "cost/cost_cache.h"
 
 namespace cdpd {
 
@@ -86,7 +85,7 @@ Result<DesignSchedule> SolveKAwareSegmented(
     SolveStats* stats = nullptr, ThreadPool* pool = nullptr,
     Tracer* tracer = nullptr, const Budget* budget = nullptr,
     const ProgressFn* progress = nullptr, Logger* logger = nullptr,
-    ResourceTracker* tracker = nullptr, CostCache* cost_cache = nullptr);
+    ResourceTracker* tracker = nullptr);
 
 }  // namespace cdpd
 

@@ -11,9 +11,6 @@ void SolveStats::PublishTo(MetricsRegistry* registry) const {
   registry->counter("solver.solves")->Add(1);
   registry->counter("solver.wall_us")->Add(wall_us);
   registry->counter("solver.costings")->Add(costings);
-  registry->counter("cost_cache.hits")->Add(cost_cache_hits);
-  registry->counter("cost_cache.misses")->Add(cost_cache_misses);
-  registry->counter("cost_cache.evictions")->Add(cost_cache_evictions);
   registry->counter("solver.nodes_expanded")->Add(nodes_expanded);
   registry->counter("solver.relaxations")->Add(relaxations);
   registry->counter("solver.paths_enumerated")->Add(paths_enumerated);
@@ -47,9 +44,6 @@ std::string SolveStats::ToJson() const {
   std::string out = "{";
   out += "\"wall_us\": " + std::to_string(wall_us);
   out += ", \"costings\": " + std::to_string(costings);
-  out += ", \"cost_cache_hits\": " + std::to_string(cost_cache_hits);
-  out += ", \"cost_cache_misses\": " + std::to_string(cost_cache_misses);
-  out += ", \"cost_cache_evictions\": " + std::to_string(cost_cache_evictions);
   out += ", \"threads_used\": " + std::to_string(threads_used);
   out += ", \"nodes_expanded\": " + std::to_string(nodes_expanded);
   out += ", \"relaxations\": " + std::to_string(relaxations);
@@ -81,9 +75,6 @@ SolveStats SolveStats::FromSnapshot(const MetricsSnapshot& snapshot) {
   stats.wall_seconds =
       static_cast<double>(snapshot.CounterValue("solver.wall_us")) / 1e6;
   stats.costings = snapshot.CounterValue("solver.costings");
-  stats.cost_cache_hits = snapshot.CounterValue("cost_cache.hits");
-  stats.cost_cache_misses = snapshot.CounterValue("cost_cache.misses");
-  stats.cost_cache_evictions = snapshot.CounterValue("cost_cache.evictions");
   stats.nodes_expanded = snapshot.CounterValue("solver.nodes_expanded");
   stats.relaxations = snapshot.CounterValue("solver.relaxations");
   stats.paths_enumerated = snapshot.CounterValue("solver.paths_enumerated");

@@ -28,17 +28,12 @@ struct SolveStats {
   /// What-if statement costings performed during the solve (the
   /// dominant work unit of the optimizer-cost experiments).
   int64_t costings = 0;
-  /// Persistent cost-cache activity attributable to this solve
-  /// (SolveOptions::cost_cache): per-statement probes answered from
-  /// the cache, probes that had to be costed and inserted, and entries
-  /// evicted to stay inside the cache's byte budget. All zero when no
-  /// cache was attached. Hits and misses are this solve's own
-  /// precompute traffic; evictions are the shared cache's delta over
-  /// the solve, so concurrent solves over one cache may each count an
-  /// eviction another one caused.
+  /// Always 0: every solve prices its shape columns with the cost
+  /// model, so there is no cost cache to hit or miss. Kept only because
+  /// the perfbench driver (perfbench/driver/serving.cc) still reads
+  /// them; they are in no JSON, metric or accumulation.
   int64_t cost_cache_hits = 0;
   int64_t cost_cache_misses = 0;
-  int64_t cost_cache_evictions = 0;
   /// Worker threads the solve fanned out across (1 = serial).
   int threads_used = 1;
   /// DP states / graph nodes given a finite value (the k-aware and
@@ -103,9 +98,6 @@ struct SolveStats {
   void Accumulate(const SolveStats& other) {
     wall_seconds += other.wall_seconds;
     costings += other.costings;
-    cost_cache_hits += other.cost_cache_hits;
-    cost_cache_misses += other.cost_cache_misses;
-    cost_cache_evictions += other.cost_cache_evictions;
     if (other.threads_used > threads_used) threads_used = other.threads_used;
     nodes_expanded += other.nodes_expanded;
     relaxations += other.relaxations;

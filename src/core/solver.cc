@@ -95,7 +95,7 @@ Result<SolveResult> Solve(const DesignProblem& problem,
                           const SolveOptions& options) {
   CDPD_RETURN_IF_ERROR(options.Validate());
 
-  // A borrowed pool (SolverSession's amortization path) wins over
+  // A borrowed pool (AdvisorService's amortization path) wins over
   // num_threads; otherwise the solve owns a pool for its duration.
   std::unique_ptr<ThreadPool> owned_pool;
   ThreadPool* pool = options.pool;
@@ -194,14 +194,6 @@ Result<SolveResult> Solve(const DesignProblem& problem,
     }
   }
 
-  // Cache hits and misses come from the dispatched solver's own
-  // precomputes (CostMatrix::cache_hits), so concurrent solves sharing
-  // one cache never count each other's traffic. Evictions are a delta
-  // of the shared counter around the dispatch (see SolveStats).
-  CostCache* const cost_cache = options.cost_cache;
-  const int64_t cache_evictions_before =
-      cost_cache != nullptr ? cost_cache->evictions() : 0;
-
   SolveResult result;
   result.tracer = tracer;
   CDPD_TRACE_SPAN(tracer, MethodSpanName(options.method), "solver",
@@ -212,7 +204,7 @@ Result<SolveResult> Solve(const DesignProblem& problem,
         CDPD_ASSIGN_OR_RETURN(
             result.schedule,
             SolveUnconstrained(*active, &result.stats, pool, tracer, budget,
-                               progress, logger, &tracker, cost_cache));
+                               progress, logger, &tracker));
         result.method_detail = "sequence-graph shortest path";
         result.unconstrained_cost = result.schedule.total_cost;
       } else {
@@ -223,14 +215,14 @@ Result<SolveResult> Solve(const DesignProblem& problem,
               result.schedule,
               SolveKAwareSegmented(*active, *options.k, chunks, &result.stats,
                                    pool, tracer, budget, progress, logger,
-                                   &tracker, cost_cache));
+                                   &tracker));
           result.method_detail = "segment-parallel k-aware (" +
                                  std::to_string(chunks) + " chunks)";
         } else {
           CDPD_ASSIGN_OR_RETURN(
               result.schedule,
               SolveKAware(*active, *options.k, &result.stats, pool, tracer,
-                          budget, progress, logger, &tracker, cost_cache));
+                          budget, progress, logger, &tracker));
           result.method_detail = "k-aware sequence graph";
         }
       }
@@ -240,7 +232,7 @@ Result<SolveResult> Solve(const DesignProblem& problem,
       CDPD_ASSIGN_OR_RETURN(GreedySeqResult greedy_result,
                             SolveGreedySeq(*active, options.k, options.greedy,
                                            pool, tracer, budget, progress,
-                                           logger, &tracker, cost_cache));
+                                           logger, &tracker));
       result.schedule = std::move(greedy_result.schedule);
       result.stats = greedy_result.stats;
       result.reduced_candidates =
@@ -254,7 +246,7 @@ Result<SolveResult> Solve(const DesignProblem& problem,
       CDPD_ASSIGN_OR_RETURN(
           DesignSchedule unconstrained,
           SolveUnconstrained(*active, &result.stats, pool, tracer, budget,
-                             progress, logger, &tracker, cost_cache));
+                             progress, logger, &tracker));
       result.unconstrained_cost = unconstrained.total_cost;
       if (!options.k.has_value()) {
         result.schedule = std::move(unconstrained);
@@ -277,7 +269,7 @@ Result<SolveResult> Solve(const DesignProblem& problem,
         CDPD_ASSIGN_OR_RETURN(
             result.schedule,
             SolveUnconstrained(*active, &result.stats, pool, tracer, budget,
-                               progress, logger, &tracker, cost_cache));
+                               progress, logger, &tracker));
         result.method_detail = "ranking (no constraint; shortest path)";
         result.unconstrained_cost = result.schedule.total_cost;
       } else {
@@ -285,7 +277,7 @@ Result<SolveResult> Solve(const DesignProblem& problem,
             result.schedule,
             SolveByRanking(*active, *options.k, options.ranking_max_paths,
                            &result.stats, pool, tracer, budget, progress,
-                           logger, &tracker, cost_cache));
+                           logger, &tracker));
         result.method_detail =
             "ranked paths: " + std::to_string(result.stats.paths_enumerated);
       }
@@ -296,14 +288,14 @@ Result<SolveResult> Solve(const DesignProblem& problem,
         CDPD_ASSIGN_OR_RETURN(
             result.schedule,
             SolveUnconstrained(*active, &result.stats, pool, tracer, budget,
-                               progress, logger, &tracker, cost_cache));
+                               progress, logger, &tracker));
         result.method_detail = "hybrid (no constraint; shortest path)";
         result.unconstrained_cost = result.schedule.total_cost;
       } else {
         CDPD_ASSIGN_OR_RETURN(
             HybridResult hybrid,
             SolveHybrid(*active, *options.k, pool, tracer, budget, progress,
-                        logger, &tracker, cost_cache));
+                        logger, &tracker));
         result.schedule = std::move(hybrid.schedule);
         result.stats = hybrid.stats;
         result.unconstrained_cost = hybrid.unconstrained_cost;
@@ -324,15 +316,6 @@ Result<SolveResult> Solve(const DesignProblem& problem,
   result.stats.cpu_seconds =
       static_cast<double>(ProcessCpuTimeMicros() - cpu_before) / 1e6;
   result.stats.threads_used = threads;
-  if (cost_cache != nullptr) {
-    result.stats.cost_cache_evictions =
-        cost_cache->evictions() - cache_evictions_before;
-    // Timestamp-only span carrying the solve's hit count, so a trace
-    // shows at a glance whether the precompute ran warm or cold.
-    TraceSpan cache_span(tracer, "solve.cost_cache", "solver");
-    cache_span.set_arg(result.stats.cost_cache_hits);
-    cost_cache->PublishTo(obs.metrics);
-  }
   result.stats.CaptureMemory(tracker);
   result.stats.memory_limit_hit = tracker.limit_exceeded();
   if (result.stats.memory_limit_hit) {

@@ -17,7 +17,6 @@
 #include "core/greedy_seq.h"
 #include "core/segment_solver.h"
 #include "core/solve_stats.h"
-#include "cost/cost_cache.h"
 
 namespace cdpd {
 
@@ -55,9 +54,9 @@ struct SolveOptions {
   int num_threads = 0;
   /// Borrowed worker pool (optional — must outlive the Solve call).
   /// When set it overrides num_threads and the solve spins up no pool
-  /// of its own; this is how SolverSession amortizes thread start-up
+  /// of its own; this is how AdvisorService amortizes thread start-up
   /// across repeated Solve() calls. Safe to share across sequential
-  /// solves; results are identical either way.
+  /// and concurrent solves; results are identical either way.
   ThreadPool* pool = nullptr;
   /// Enumeration cap for the ranking method.
   int64_t ranking_max_paths = 1'000'000;
@@ -92,9 +91,9 @@ struct SolveOptions {
 
   /// Segment-parallel solving of the k-aware DP (method == kOptimal
   /// with k set only; see core/segment_solver.h). The default
-  /// (num_chunks = 0, auto) engages chunking only on scan spaces whose
-  /// stage sequence is long enough to amortize it, so short solves and
-  /// lattice-path solves are byte-identical to the monolithic path.
+  /// (num_chunks = 0, automatic) always runs the monolithic pass; an
+  /// explicit num_chunks >= 2 splits the stages to bound the DP's
+  /// parent table. The cost is the same either way.
   SegmentSolveOptions segmented;
 
   /// Build a per-transition EXEC/TRANS attribution of the returned
@@ -128,18 +127,6 @@ struct SolveOptions {
   /// (allocations are still tracked, for stats.peak_bytes_total).
   std::optional<int64_t> memory_limit_bytes;
 
-  /// Persistent what-if cost cache (optional, borrowed — must outlive
-  /// the Solve call). When set, the precompute answers per-statement
-  /// probes from the cache and inserts what it had to cost, so a
-  /// second Solve() over an unchanged cost model and candidate
-  /// universe is nearly costing-free. The cache self-invalidates on a
-  /// cost-model change (see cost/cost_cache.h), may be shared by
-  /// concurrent solves, and its growth during this solve is charged
-  /// against memory_limit_bytes under MemComponent::kCostCache.
-  /// Observational invariant: schedules and costs are bit-identical
-  /// with or without a cache; only probe counts and wall time change.
-  CostCache* cost_cache = nullptr;
-
   /// All option validation in one place: k >= 0 when set,
   /// num_threads >= 0, ranking_max_paths > 0, deadline >= 0 when set,
   /// memory_limit_bytes > 0 when set, greedy candidate indexes
@@ -151,8 +138,8 @@ struct SolveOptions {
 /// Uniform outcome of a Solve() call.
 struct SolveResult {
   DesignSchedule schedule;
-  /// Unified counters (wall time, costings, cost-cache traffic,
-  /// threads used, nodes expanded, ...) for every method.
+  /// Unified counters (wall time, costings, threads used, nodes
+  /// expanded, ...) for every method.
   SolveStats stats;
   /// Technique detail (e.g. which branch the hybrid picked).
   std::string method_detail;

@@ -14,8 +14,7 @@ Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
                                           Tracer* tracer, const Budget* budget,
                                           const ProgressFn* progress,
                                           Logger* logger,
-                                          ResourceTracker* tracker,
-                                          CostCache* cost_cache) {
+                                          ResourceTracker* tracker) {
   CDPD_RETURN_IF_ERROR(problem.Validate());
   const WhatIfEngine& what_if = *problem.what_if;
   const Stopwatch watch;
@@ -77,10 +76,7 @@ Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
     CDPD_TRACE_SPAN(tracer, "unconstrained.precompute", "solver");
     CDPD_ASSIGN_OR_RETURN(
         matrix, what_if.PrecomputeCostMatrix(configs, pool, tracer, budget,
-                                             progress, logger, cost_cache,
-                                             tracker));
-    local_stats.cost_cache_hits = matrix.cache_hits();
-    local_stats.cost_cache_misses = matrix.cache_misses();
+                                             progress, logger));
   }
   if (!matrix.complete()) {
     return Status::DeadlineExceeded(

@@ -9,7 +9,6 @@
 #include "common/tracing.h"
 #include "core/design_problem.h"
 #include "core/solve_stats.h"
-#include "cost/cost_cache.h"
 
 namespace cdpd {
 
@@ -55,10 +54,6 @@ namespace cdpd {
 /// limit refuses either reservation the solve returns
 /// BestStaticSchedule flagged best_effort/deadline_hit instead of
 /// allocating past budget.
-///
-/// `cost_cache` (optional) is the persistent cross-solve what-if cache
-/// threaded into the precompute (see WhatIfEngine::PrecomputeCostMatrix
-/// and cost/cost_cache.h); it changes probe counts, never costs.
 Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
                                           SolveStats* stats = nullptr,
                                           ThreadPool* pool = nullptr,
@@ -66,8 +61,7 @@ Result<DesignSchedule> SolveUnconstrained(const DesignProblem& problem,
                                           const Budget* budget = nullptr,
                                           const ProgressFn* progress = nullptr,
                                           Logger* logger = nullptr,
-                                          ResourceTracker* tracker = nullptr,
-                                          CostCache* cost_cache = nullptr);
+                                          ResourceTracker* tracker = nullptr);
 
 }  // namespace cdpd
 

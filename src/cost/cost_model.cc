@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "common/math_util.h"
 #include "storage/page.h"
@@ -245,64 +244,6 @@ double CostModel::TransitionCost(const Configuration& from,
 
 int64_t CostModel::ConfigurationSizePages(const Configuration& config) const {
   return config.SizePages(num_rows_);
-}
-
-namespace {
-
-uint64_t FingerprintMix(uint64_t hash, uint64_t value) {
-  constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (byte * 8)) & 0xff;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-uint64_t FingerprintMixDouble(uint64_t hash, double value) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  return FingerprintMix(hash, bits);
-}
-
-}  // namespace
-
-uint64_t CostModel::Fingerprint() const {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const std::string& name : schema_.column_names()) {
-    for (const char c : name) {
-      hash = FingerprintMix(hash, static_cast<uint64_t>(c));
-    }
-    hash = FingerprintMix(hash, name.size());
-  }
-  hash = FingerprintMix(hash, static_cast<uint64_t>(num_rows_));
-  hash = FingerprintMix(hash, static_cast<uint64_t>(domain_size_));
-  hash = FingerprintMixDouble(hash, params_.seq_page_cost);
-  hash = FingerprintMixDouble(hash, params_.random_page_cost);
-  hash = FingerprintMixDouble(hash, params_.write_page_cost);
-  hash = FingerprintMixDouble(hash, params_.cpu_tuple_cost);
-  hash = FingerprintMixDouble(hash, params_.sort_cpu_factor);
-  hash = FingerprintMixDouble(hash, params_.drop_pages);
-  // TableStats participate by content: attaching, detaching, or
-  // refreshing statistics all change the token.
-  hash = FingerprintMix(hash, stats_ != nullptr ? 1 : 0);
-  if (stats_ != nullptr) {
-    hash = FingerprintMix(hash, static_cast<uint64_t>(stats_->num_rows()));
-    for (ColumnId c = 0; c < stats_->num_columns(); ++c) {
-      const ColumnStats& column = stats_->column(c);
-      hash = FingerprintMix(hash, static_cast<uint64_t>(column.min_value));
-      hash = FingerprintMix(hash, static_cast<uint64_t>(column.max_value));
-      hash = FingerprintMix(hash,
-                            static_cast<uint64_t>(column.distinct_estimate));
-      hash = FingerprintMixDouble(hash, column.density);
-      hash = FingerprintMix(hash,
-                            static_cast<uint64_t>(column.sampled_rows));
-      for (const int64_t bucket : column.histogram) {
-        hash = FingerprintMix(hash, static_cast<uint64_t>(bucket));
-      }
-    }
-  }
-  return hash;
 }
 
 double CostModel::StatsToCost(const AccessStats& stats) const {

@@ -126,14 +126,6 @@ class CostModel {
   /// measured and estimated workload costs are directly comparable.
   double StatsToCost(const AccessStats& stats) const;
 
-  /// 64-bit identity of everything a cached what-if cost depends on:
-  /// the schema, the row count, the value domain, the cost parameters,
-  /// and the content of any attached TableStats. The persistent
-  /// CostCache (cost/cost_cache.h) uses this as its validity token, so
-  /// a catalog or table-stats change invalidates cached costs instead
-  /// of serving stale ones.
-  uint64_t Fingerprint() const;
-
  private:
   double SelectCost(ColumnId select_column, ColumnId where_column,
                     double matches, const Configuration& config,

@@ -44,8 +44,8 @@ bool HasShape(const BoundStatement& statement, const BoundStatement& shape) {
               : statement.insert_values == shape.insert_values);
 }
 
-/// 64-bit FNV-1a identity of a literal-erased statement shape — the
-/// statement half of the persistent cost cache's key. Hashes every
+/// 64-bit FNV-1a identity of a literal-erased statement shape, the key
+/// the engine deduplicates workload shapes by. Hashes every
 /// cost-relevant field of the (already normalized) shape.
 uint64_t ShapeFingerprint(const BoundStatement& shape) {
   constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
@@ -126,7 +126,7 @@ WhatIfEngine::WhatIfEngine(const CostModel* model,
       } else {
         id = static_cast<uint32_t>(workload_profile_.size());
         by_fingerprint.emplace(fingerprint, id);
-        workload_profile_.push_back(WorkloadShape{shape, 0, fingerprint});
+        workload_profile_.push_back(WorkloadShape{shape, 0});
       }
       profile_entries_.push_back(ProfileEntry{id, 1});
     }
@@ -151,33 +151,19 @@ double WhatIfEngine::ShapeCost(const WorkloadShape& shape,
   return model_->StatementCost(shape.representative, config);
 }
 
-int64_t WhatIfEngine::FillColumn(const Configuration& config,
-                                 uint64_t config_mask, CostCache* cache,
-                                 ResourceTracker* tracker,
-                                 std::span<double> column) const {
-  int64_t costed = 0;
+void WhatIfEngine::FillColumn(const Configuration& config,
+                              std::span<double> column) const {
   for (size_t s = 0; s < workload_profile_.size(); ++s) {
-    const WorkloadShape& shape = workload_profile_[s];
-    if (cache != nullptr &&
-        cache->Lookup(shape.fingerprint, config_mask, &column[s])) {
-      continue;
-    }
-    // A cached value is the exact double a miss computed, so a column
-    // is bit-identical however the hit/miss pattern falls.
-    column[s] = model_->StatementCost(shape.representative, config);
-    if (cache != nullptr) {
-      cache->Insert(shape.fingerprint, config_mask, column[s], tracker);
-    }
-    ++costed;
+    column[s] =
+        model_->StatementCost(workload_profile_[s].representative, config);
   }
-  CountCostings(costed);
-  return costed;
+  CountCostings(static_cast<int64_t>(workload_profile_.size()));
 }
 
 std::vector<double> WhatIfEngine::ShapeColumn(
     const Configuration& config) const {
   std::vector<double> column(workload_profile_.size());
-  FillColumn(config, 0, nullptr, nullptr, column);
+  FillColumn(config, column);
   return column;
 }
 
@@ -258,30 +244,13 @@ class NonFiniteCell {
 
 Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
     const CandidateSpace& candidates, ThreadPool* pool, Tracer* tracer,
-    const Budget* budget, const ProgressFn* progress, Logger* logger,
-    CostCache* cost_cache, ResourceTracker* tracker) const {
+    const Budget* budget, const ProgressFn* progress, Logger* logger) const {
   const size_t n = segments_.size();
   const size_t m = candidates.size();
   CostMatrix matrix(n, m);
-  // The persistent cache is sound only while config masks are exact
-  // bijections; with fingerprint masks (universe > 64) it is skipped
-  // and every column entry is costed.
-  CostCache* cache =
-      (cost_cache != nullptr && candidates.exact_masks()) ? cost_cache
-                                                          : nullptr;
-  if (cache != nullptr) {
-    // The token covers everything a cached statement cost depends on:
-    // the cost-model state (schema, rows, params, table stats) and the
-    // universe that defines the masks' bit assignment.
-    uint64_t token = model_->Fingerprint();
-    token ^= candidates.universe_fingerprint() * 0x9e3779b97f4a7c15ULL;
-    if (token == 0) token = 1;  // 0 is CostCache's never-validated state.
-    cache->EnsureValid(token, tracker);
-  }
   CDPD_LOG(logger, LogLevel::kInfo, "whatif.precompute.start",
            LogField("segments", n), LogField("configs", m),
-           LogField("exec_cells", n * m), LogField("trans_cells", m * m),
-           LogField("cost_cache", cache != nullptr));
+           LogField("exec_cells", n * m), LogField("trans_cells", m * m));
   NonFiniteCell bad_exec;
   NonFiniteCell bad_trans;
   // EXEC, one configuration at a time: price its shape-cost column,
@@ -289,7 +258,6 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
   // writes only its own cells and probes only its own (shape, config)
   // pairs, so values and costings are identical for any thread count.
   std::atomic<size_t> configs_done{0};
-  std::atomic<int64_t> costed{0};
   bool complete = false;
   {
     CDPD_TRACE_SPAN(tracer, "whatif.exec_matrix", "whatif",
@@ -298,11 +266,7 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
         pool, 0, m,
         [&](size_t config) {
           std::vector<double> column(workload_profile_.size());
-          costed.fetch_add(
-              FillColumn(candidates[config],
-                         cache != nullptr ? candidates.mask(config) : 0,
-                         cache, tracker, column),
-              std::memory_order_relaxed);
+          FillColumn(candidates[config], column);
           for (size_t segment = 0; segment < n; ++segment) {
             const double cost = SegmentCost(segment, column);
             if (!std::isfinite(cost)) bad_exec.Record(segment * m + config);
@@ -399,15 +363,6 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
         std::to_string(*cell / m) + " to #" + std::to_string(*cell % m));
   }
   matrix.set_complete(complete);
-  if (cache != nullptr) {
-    // Every filled column probed the cache once per shape; the entries
-    // it had to cost were the misses.
-    const int64_t probes =
-        static_cast<int64_t>(configs_done.load(std::memory_order_relaxed) *
-                             workload_profile_.size());
-    const int64_t misses = costed.load(std::memory_order_relaxed);
-    matrix.set_cache_traffic(probes - misses, misses);
-  }
   matrix.Finalize();
   if (!complete) {
     CDPD_LOG(logger, LogLevel::kWarn, "whatif.precompute.interrupted",

@@ -17,23 +17,20 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "common/tracing.h"
-#include "cost/cost_cache.h"
 #include "cost/cost_model.h"
 #include "workload/workload.h"
 
 namespace cdpd {
 
 /// One literal-erased statement shape aggregated over the *whole*
-/// workload: the representative statement, its total multiplicity
-/// across every segment, and its 64-bit fingerprint (the persistent
-/// cost cache's statement key). Because every segment's EXEC cost is a
+/// workload: the representative statement and its total multiplicity
+/// across every segment. Because every segment's EXEC cost is a
 /// nonnegative-weighted sum of per-shape costs, any pointwise
 /// inequality over these shapes transfers to every segment — the fact
 /// dominance pruning (advisor/dominance.h) is built on.
 struct WorkloadShape {
   BoundStatement representative;
   int64_t count = 0;
-  uint64_t fingerprint = 0;
 };
 
 /// Dense EXEC/TRANS lookup tables over a pinned CandidateSpace —
@@ -132,23 +129,10 @@ class CostMatrix {
   bool complete() const { return complete_; }
   void set_complete(bool complete) { complete_ = complete; }
 
-  /// CostCache traffic of the precompute that filled this matrix:
-  /// shape-cost entries answered from the cache, and entries that had
-  /// to be costed. Both zero when no cache was used. Counted per fill,
-  /// so concurrent solves sharing one cache never see each other's.
-  int64_t cache_hits() const { return cache_hits_; }
-  int64_t cache_misses() const { return cache_misses_; }
-  void set_cache_traffic(int64_t hits, int64_t misses) {
-    cache_hits_ = hits;
-    cache_misses_ = misses;
-  }
-
  private:
   size_t num_segments_ = 0;
   size_t num_configs_ = 0;
   bool complete_ = true;
-  int64_t cache_hits_ = 0;
-  int64_t cache_misses_ = 0;
   std::vector<double> exec_;   // [segment * num_configs + config]
   std::vector<double> trans_;  // [from * num_configs + to]
   // Derived by Finalize():
@@ -247,12 +231,12 @@ class WhatIfEngine {
   /// point: the solvers never cost materialized Configuration vectors.
   ///
   /// Each configuration's shape-cost column is priced once — every
-  /// (shape, configuration) pair is one costing, or one CostCache
-  /// probe — and then that configuration's n EXEC cells are the
-  /// profile dot products, so the fill is O(|shapes| x m) probes plus
-  /// O(nnz x m) arithmetic, nnz being the total number of per-segment
-  /// profile entries. Results, and costings(), are identical for any
-  /// thread count, with or without `tracer` or `progress`.
+  /// (shape, configuration) pair is one costing — and then that
+  /// configuration's n EXEC cells are the profile dot products, so the
+  /// fill is O(|shapes| x m) costings plus O(nnz x m) arithmetic, nnz
+  /// being the total number of per-segment profile entries. Results,
+  /// and costings(), are identical for any thread count, with or
+  /// without `tracer` or `progress`.
   ///
   /// With exact masks (candidates.exact_masks()), the TRANS matrix is
   /// computed additively from per-universe-index build/drop costs via
@@ -279,26 +263,10 @@ class WhatIfEngine {
   /// each configuration completes — invoked from worker threads, so
   /// the callback must be thread-safe (see common/progress.h).
   /// `logger` (optional) records precompute start/end events.
-  ///
-  /// `cost_cache` (optional) is the persistent cross-solve cache: each
-  /// column entry is looked up by (shape fingerprint, config mask)
-  /// before costing and inserted after, so a warm precompute over an
-  /// unchanged model costs nothing. The cache is validated first
-  /// against a token derived from CostModel::Fingerprint() and the
-  /// space's universe fingerprint, and is silently skipped when
-  /// candidates.exact_masks() is false (fingerprint masks would make
-  /// keying unsound). `tracker` (optional) charges cache growth to
-  /// MemComponent::kCostCache; a refused reservation skips the insert
-  /// and trips the solve's memory limit (see cost/cost_cache.h).
-  /// Cached and uncached fills produce bit-identical matrices, and the
-  /// matrix reports the fill's own hits and misses (cache_hits(),
-  /// cache_misses()).
   Result<CostMatrix> PrecomputeCostMatrix(
       const CandidateSpace& candidates, ThreadPool* pool = nullptr,
       Tracer* tracer = nullptr, const Budget* budget = nullptr,
-      const ProgressFn* progress = nullptr, Logger* logger = nullptr,
-      CostCache* cost_cache = nullptr,
-      ResourceTracker* tracker = nullptr) const;
+      const ProgressFn* progress = nullptr, Logger* logger = nullptr) const;
 
   /// Mirrors the engine's costings into the "whatif.costings" counter
   /// of `registry`. Pass nullptr to detach. Safe to call concurrently
@@ -309,8 +277,7 @@ class WhatIfEngine {
   void SetMetrics(MetricsRegistry* registry) const;
 
   /// Number of what-if costings (cost-model probes) performed so far —
-  /// the optimizer-cost experiments' dominant work unit. Shape-cost
-  /// columns answered from a CostCache cost none.
+  /// the optimizer-cost experiments' dominant work unit.
   int64_t costings() const {
     return costings_.load(std::memory_order_relaxed);
   }
@@ -329,13 +296,9 @@ class WhatIfEngine {
                  profile_begin_[segment + 1] - profile_begin_[segment]);
   }
 
-  /// Writes `config`'s shape-cost column into `column`, answering
-  /// entries from `cache` (keyed by `config_mask`) when one is given.
-  /// Returns how many entries it had to cost — with a cache, its
-  /// misses.
-  int64_t FillColumn(const Configuration& config, uint64_t config_mask,
-                     CostCache* cache, ResourceTracker* tracker,
-                     std::span<double> column) const;
+  /// Writes `config`'s shape-cost column into `column`, one costing
+  /// per workload shape.
+  void FillColumn(const Configuration& config, std::span<double> column) const;
 
   void CountCostings(int64_t costed) const;
 

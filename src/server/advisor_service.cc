@@ -84,9 +84,6 @@ Status ServiceOptions::Validate() const {
   if (num_threads < 0) {
     return Status::InvalidArgument("num_threads must be >= 0");
   }
-  if (cost_cache_max_bytes < 0) {
-    return Status::InvalidArgument("cost_cache_max_bytes must be >= 0");
-  }
   if (default_deadline.has_value() && default_deadline->count() < 0) {
     return Status::InvalidArgument("default_deadline must be >= 0 when set");
   }
@@ -192,8 +189,6 @@ std::string RecommendAnswer::ToJson(const Schema& schema, bool reused) const {
   out += ",\"method_detail\":" + JsonString(method_detail);
   out += ",\"total_cost\":" + JsonDouble(schedule.total_cost);
   out += ",\"wall_seconds\":" + JsonDouble(stats.wall_seconds);
-  out += ",\"cost_cache_hits\":" + std::to_string(stats.cost_cache_hits);
-  out += ",\"cost_cache_misses\":" + std::to_string(stats.cost_cache_misses);
   out += ",\"deadline_hit\":";
   out += stats.deadline_hit ? "true" : "false";
   out += ",\"memory_limit_hit\":";
@@ -223,18 +218,17 @@ AdvisorService::AdvisorService(ServiceOptions options)
     : options_(std::move(options)),
       model_(options_.schema, options_.rows, options_.domain_size,
              options_.params),
-      session_([this] {
-        SessionOptions session_options;
-        session_options.num_threads = options_.num_threads;
-        session_options.enable_cost_cache = true;
-        session_options.cost_cache_max_bytes = options_.cost_cache_max_bytes;
-        // The service registry always sees the solver metrics (STATS
-        // serializes it); the caller's sinks fill the other slots.
-        session_options.observability = options_.observability;
-        session_options.observability.metrics = &registry_;
-        return session_options;
-      }()),
       slow_log_(options_.slow_log_capacity, options_.slow_log_recent) {
+  const int threads = options_.num_threads > 0
+                          ? options_.num_threads
+                          : ThreadPool::DefaultThreadCount();
+  if (threads > 1) {
+    pool_ = std::make_unique<ThreadPool>(threads);
+    pool_->EnableMetrics(&registry_);
+    if (options_.observability.logger != nullptr) {
+      pool_->EnableLogging(options_.observability.logger);
+    }
+  }
   candidate_indexes_ = options_.candidate_indexes;
   if (candidate_indexes_.empty()) {
     candidate_indexes_ = MakePaperCandidateIndexes(options_.schema);
@@ -447,18 +441,23 @@ Result<std::shared_ptr<const RecommendAnswer>> AdvisorService::Recommend(
   solve_options.deadline = deadline;
   solve_options.memory_limit_bytes = memory_limit;
   solve_options.cancel = &cancel_;
-  // Per-call sinks win slot-by-slot over the session defaults, so the
-  // request-scoped tracer captures this solve's spans while metrics
-  // keep flowing into the service registry.
-  solve_options.observability.tracer = tracer;
+  // Without a resident pool the service is serial: a solve must not
+  // spin up a pool of its own.
+  solve_options.pool = pool_.get();
+  solve_options.num_threads = 1;
+  // Solver metrics always land in the service registry (STATS
+  // serializes it); the request-scoped tracer, when there is one,
+  // captures this solve's spans in place of the caller's.
+  solve_options.observability = options_.observability;
+  solve_options.observability.metrics = &registry_;
+  if (tracer != nullptr) solve_options.observability.tracer = tracer;
   if (method == OptimizerMethod::kGreedySeq) {
     solve_options.greedy.candidate_indexes = candidate_indexes_;
     solve_options.greedy.max_indexes_per_config =
         options_.max_indexes_per_config;
   }
 
-  CDPD_ASSIGN_OR_RETURN(SolveResult solved,
-                        session_.Solve(problem, solve_options));
+  CDPD_ASSIGN_OR_RETURN(SolveResult solved, Solve(problem, solve_options));
   if (!solved.reduced_candidates.empty()) {
     // GREEDY-SEQ validated against the reduced set it searched.
     problem.candidates = solved.reduced_candidates;
@@ -535,9 +534,6 @@ Result<std::string> AdvisorService::Handle(uint8_t opcode,
 }
 
 MetricsSnapshot AdvisorService::StatsSnapshot() {
-  if (session_.cost_cache() != nullptr) {
-    session_.cost_cache()->PublishTo(&registry_);
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     registry_.gauge("server.window_statements")

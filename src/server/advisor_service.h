@@ -17,8 +17,8 @@
 #include "common/metrics.h"
 #include "common/observability.h"
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "core/solver.h"
-#include "core/solver_session.h"
 #include "cost/cost_model.h"
 #include "cost/what_if.h"
 #include "server/frame.h"
@@ -52,10 +52,9 @@ struct ServiceOptions {
   int64_t domain_size = 500'000;
   CostParams params;
   /// Candidate indexes the recommendations draw from; empty =
-  /// MakePaperCandidateIndexes(schema). Pinned at construction so the
-  /// candidate universe — and with it the cost cache's validity token —
-  /// never changes across re-solves: that is what keeps the warm-start
-  /// hit rate high over a sliding window.
+  /// MakePaperCandidateIndexes(schema). Pinned at construction, so
+  /// every re-solve over a sliding window searches the same candidate
+  /// space.
   std::vector<IndexDef> candidate_indexes;
   int32_t max_indexes_per_config = 1;
   int64_t space_bound_pages = std::numeric_limits<int64_t>::max();
@@ -69,14 +68,14 @@ struct ServiceOptions {
   OptimizerMethod method = OptimizerMethod::kOptimal;
   std::optional<std::chrono::milliseconds> default_deadline;
   std::optional<int64_t> default_memory_limit_bytes;
-  /// Worker threads of the resident SolverSession's pool (0 =
-  /// hardware default) and the byte cap of its persistent cost cache
-  /// (0 = unbounded).
+  /// Worker threads of every solve: 0 = ThreadPool::DefaultThreadCount(),
+  /// 1 = serial. More than one builds one resident pool all solves
+  /// share.
   int num_threads = 0;
-  int64_t cost_cache_max_bytes = 0;
-  /// Extra observability sinks layered *under* the service's own
-  /// metrics registry (the registry always receives the solver and
-  /// server metrics; these add tracing/logging/progress).
+  /// Extra observability sinks for every solve: the logger and
+  /// progress callback, and the tracer of a request that brings none.
+  /// The `metrics` slot is ignored — solver metrics always go to the
+  /// service's own registry.
   Observability observability;
   /// Slowest-request entries GET /slowlog keeps (0 disables) and the
   /// recent-request ring GET /trace?id= resolves ids from.
@@ -170,27 +169,22 @@ struct RecommendAnswer {
 };
 
 /// The resident advisor behind advisor_server: keeps the catalog, a
-/// warm SolverSession (persistent cost cache + thread pool + metrics),
-/// the sliding workload window, and the last solution resident across
-/// requests.
+/// thread pool and metrics registry every solve shares, the sliding
+/// workload window, and the last solution resident across requests.
 ///
 /// Warm-start semantics (see docs/serving.md): the candidate universe
-/// and cost model are pinned at construction, so the persistent cost
-/// cache's validity token never changes and every statement shape the
-/// window has seen before is answered from cache — a re-solve over a
-/// slid window re-costs only the shapes that are genuinely new. The
-/// last solution is kept resident: a RECOMMEND over an unchanged
-/// window with unchanged options returns it without re-solving. Both
-/// reuses are *observationally invariant*: every answer is bit-
-/// identical to a cold one-shot Solve() over the same window (the
-/// solvers are deterministic and the cache never changes values — the
-/// property tests pin this).
+/// and cost model are pinned at construction, and the last solution is
+/// kept resident: a RECOMMEND over an unchanged window with unchanged
+/// options returns it without re-solving. That reuse is
+/// *observationally invariant*: every answer is bit-identical to a
+/// cold one-shot Solve() over the same window (the solvers are
+/// deterministic — the property tests pin this).
 ///
 /// Thread-safe: INGEST swaps an immutable window snapshot under a
 /// mutex; WHATIF/RECOMMEND read whichever snapshot was current when
-/// they started (the what-if engine is immutable and the solver session
-/// is internally synchronized), so concurrent clients never block each
-/// other on a long solve.
+/// they started (the what-if engine is immutable and the pool is safe
+/// to share between concurrent solves), so concurrent clients never
+/// block each other on a long solve.
 class AdvisorService {
  public:
   /// `options` must Validate().
@@ -198,11 +192,10 @@ class AdvisorService {
 
   const Schema& schema() const { return options_.schema; }
   const ServiceOptions& options() const { return options_; }
-  /// The service-owned registry: solver metrics, cost-cache gauges,
-  /// and the server layer's request counters/latency histograms all
-  /// land here; STATS serializes it.
+  /// The service-owned registry: solver metrics and the server layer's
+  /// request counters/latency histograms all land here; STATS
+  /// serializes it.
   MetricsRegistry* registry() { return &registry_; }
-  SolverSession* session() { return &session_; }
   /// The bounded record of the slowest (and most recent) requests the
   /// transport served; GET /slowlog and /trace?id= read it.
   SlowLog* slow_log() { return &slow_log_; }
@@ -254,13 +247,13 @@ class AdvisorService {
     return Handle(opcode, payload, RequestContext{});
   }
 
-  /// One coherent registry reading, refreshed with the cache, window,
-  /// and process gauges — what /varz serializes as JSON and /metrics
+  /// One coherent registry reading, refreshed with the window and
+  /// process gauges — what /varz serializes as JSON and /metrics
   /// renders as Prometheus text.
   MetricsSnapshot StatsSnapshot();
 
   /// Metrics snapshot JSON ({"counters":...,"gauges":...,
-  /// "histograms":...}), refreshed with the cache and process gauges.
+  /// "histograms":...}), refreshed with the window and process gauges.
   std::string StatsJson();
 
   /// The /varz document: build identity (git_sha, build_type), uptime,
@@ -317,7 +310,8 @@ class AdvisorService {
   LazyMetric<Counter> whatifs_metric_;
   LazyMetric<Counter> recommends_metric_;
   LazyMetric<Counter> recommends_reused_metric_;
-  SolverSession session_;
+  // Shared by every solve; null when num_threads resolves to 1.
+  std::unique_ptr<ThreadPool> pool_;
   CancelToken cancel_;
   SlowLog slow_log_;
   std::atomic<Recorder*> recorder_{nullptr};

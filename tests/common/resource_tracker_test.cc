@@ -57,30 +57,6 @@ TEST(ResourceTrackerTest, ZeroAndNegativeChargesAreIgnored) {
   EXPECT_EQ(tracker.peak_total(), 0);
 }
 
-TEST(ResourceTrackerTest, ReleaseUpToClampsAtCurrent) {
-  ResourceTracker tracker;
-  tracker.Reserve(kA, 100);
-  // Releasing more than is held (entries charged to an earlier,
-  // now-dead tracker, as a shared cost cache can hold) clamps instead
-  // of driving the gauge negative.
-  EXPECT_EQ(tracker.ReleaseUpTo(kA, 300), 100);
-  EXPECT_EQ(tracker.current_bytes(kA), 0);
-  EXPECT_EQ(tracker.current_total(), 0);
-  EXPECT_EQ(tracker.ReleaseUpTo(kA, 10), 0);  // Nothing left to release.
-  EXPECT_EQ(tracker.current_bytes(kA), 0);
-  EXPECT_EQ(tracker.ReleaseUpTo(kA, -5), 0);  // Ignored like Release.
-  EXPECT_EQ(tracker.peak_bytes(kA), 100);     // Peak never falls.
-}
-
-TEST(ResourceTrackerTest, ReleaseUpToNeverUntripsTheLimit) {
-  ResourceTracker tracker(/*soft_limit_bytes=*/100);
-  tracker.Reserve(kA, 200);
-  ASSERT_TRUE(tracker.limit_exceeded());
-  tracker.ReleaseUpTo(kA, 200);
-  EXPECT_EQ(tracker.current_bytes(kA), 0);
-  EXPECT_TRUE(tracker.limit_exceeded());  // Monotone, like Release.
-}
-
 TEST(ResourceTrackerTest, TryReserveRefusesPastTheLimitAndChargesNothing) {
   ResourceTracker tracker(/*limit_bytes=*/1000);
   EXPECT_EQ(tracker.limit_bytes(), 1000);

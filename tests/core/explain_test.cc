@@ -45,7 +45,6 @@ ExplainReport MakeGoldenReport(const Schema& schema) {
   report.stats.wall_seconds = 0.25;
   report.stats.threads_used = 4;
   report.stats.costings = 12;
-  report.stats.cost_cache_hits = 3;
 
   ExplainTransition initial;
   initial.segment = 0;
@@ -91,8 +90,7 @@ TEST(ExplainTest, GoldenTextRendering) {
       "    TRANS total:  8.5\n"
       "  unconstrained:  100  (gap 9 = price of the change budget)\n"
       "  provenance:     normal\n"
-      "  solve:          0.25 s, 4 threads, 12 costings (cost cache 3 "
-      "hits / 0 misses)\n"
+      "  solve:          0.25 s, 4 threads, 12 costings\n"
       "transitions (2):\n"
       "  @stmt 0   initial build I(a)             TRANS 0"
       "  saves 20.25 over stmts [0, 20)  break-even @stmt 10"

@@ -22,7 +22,6 @@
 #include "common/progress.h"
 #include "common/thread_pool.h"
 #include "common/tracing.h"
-#include "cost/cost_cache.h"
 #include "cost/what_if.h"
 
 namespace cdpd {
@@ -206,30 +205,21 @@ TEST_F(WhatIfConcurrencyTest, PrecomputeMatchesStatementCostReference) {
   configs.push_back(Configuration({IndexDef({0, 1}), IndexDef({2})}));
 
   ThreadPool pool(4);
-  CostCache cache;
-  for (const bool cached : {false, true, true}) {
-    WhatIfEngine engine(&model_, statements, segments);
-    ASSERT_GT(engine.workload_profile().size(), 200u);
-    const CostMatrix matrix =
-        engine
-            .PrecomputeCostMatrix(configs, &pool, nullptr, nullptr, nullptr,
-                                  nullptr, cached ? &cache : nullptr)
-            .value();
-    for (size_t s = 0; s < segments.size(); ++s) {
-      for (size_t c = 0; c < configs.size(); ++c) {
-        EXPECT_EQ(matrix.Exec(s, c),
-                  ReferenceExec(model_, statements, segments[s], configs[c]))
-            << "cached = " << cached << ", exec(" << s << ", " << c << ")";
-      }
+  WhatIfEngine engine(&model_, statements, segments);
+  ASSERT_GT(engine.workload_profile().size(), 200u);
+  const CostMatrix matrix =
+      engine.PrecomputeCostMatrix(configs, &pool).value();
+  for (size_t s = 0; s < segments.size(); ++s) {
+    for (size_t c = 0; c < configs.size(); ++c) {
+      EXPECT_EQ(matrix.Exec(s, c),
+                ReferenceExec(model_, statements, segments[s], configs[c]))
+          << "exec(" << s << ", " << c << ")";
     }
   }
-  // The first cached fill missed every (shape, configuration) pair;
-  // the second hit them all.
-  WhatIfEngine engine(&model_, statements, segments);
-  const auto pairs =
-      static_cast<int64_t>(engine.workload_profile().size() * configs.size());
-  EXPECT_EQ(cache.misses(), pairs);
-  EXPECT_EQ(cache.hits(), pairs);
+  // Every (shape, configuration) pair was priced exactly once.
+  EXPECT_EQ(engine.costings(),
+            static_cast<int64_t>(engine.workload_profile().size() *
+                                 configs.size()));
 }
 
 TEST_F(WhatIfConcurrencyTest, PrecomputeWithNullPoolIsIdentical) {

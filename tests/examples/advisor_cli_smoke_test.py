@@ -42,6 +42,10 @@ class AdvisorCliSmokeTest(unittest.TestCase):
     def test_unknown_flag_fails_with_usage(self):
         self.assert_usage_error(self.run_cli("--frobnicate"),
                                 "unknown flag --frobnicate")
+        # --session-reuse re-ran the solve through a cost cache that no
+        # longer exists.
+        self.assert_usage_error(self.run_cli("--session-reuse", "2"),
+                                "unknown flag --session-reuse")
 
     def test_duplicate_flag_fails(self):
         self.assert_usage_error(self.run_cli("--k", "1", "--k", "2"),

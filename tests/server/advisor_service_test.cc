@@ -1,9 +1,8 @@
 // AdvisorService: request parsing strictness, the sliding-window
 // ingest contract, and the warm-start property the whole serving
 // design rests on — a resident service re-solving over a slid window
-// (warm cost cache, resident session, reused pool) answers
-// bit-identically to a cold one-shot Solve() over the same window,
-// while re-costing almost nothing (cache hit rate >= 0.9).
+// (resident answer, shared pool) answers bit-identically to a cold
+// one-shot Solve() over the same window.
 
 #include "server/advisor_service.h"
 
@@ -18,7 +17,9 @@
 #include <gtest/gtest.h>
 
 #include "advisor/config_enumeration.h"
+#include "common/metrics.h"
 #include "common/string_util.h"
+#include "common/tracing.h"
 #include "core/design_problem.h"
 #include "core/solver.h"
 #include "index/index_def.h"
@@ -59,7 +60,7 @@ std::string TraceBatch(int salt) {
 
 // The cold one-shot reference: a fresh model, engine, and solver over
 // exactly `sql`, built the way the service builds its own problem.
-// No session, no cache, nothing resident.
+// No shared pool, nothing resident.
 SolveResult ColdOneShot(const ServiceOptions& options, const std::string& sql,
                         const Configuration& initial) {
   CostModel model(options.schema, options.rows, options.domain_size,
@@ -328,8 +329,8 @@ TEST(AdvisorServiceTest, RecommendOnEmptyWindowIsFailedPrecondition) {
 
 // The tentpole property: after every window slide, the resident
 // service's warm re-solve is bit-identical to a cold one-shot Solve()
-// over the same window — same schedule, same total cost. The cache and
-// the resident session are pure accelerators.
+// over the same window — same schedule, same total cost. The shared
+// pool and the resident answer are pure accelerators.
 TEST(AdvisorServiceTest, WarmResolveIsBitIdenticalToColdOneShot) {
   ServiceOptions options = SmallServiceOptions();
   options.window_statements = 25;
@@ -365,34 +366,50 @@ TEST(AdvisorServiceTest, WarmResolveIsBitIdenticalToColdOneShot) {
   }
 }
 
-// The warm-start payoff: once the service has costed the window's
-// statement shapes, a re-solve over a slid window re-costs only the
-// genuinely new shapes. With a repeating workload the hit rate must be
-// >= 0.9 (the ISSUE's acceptance bar).
-TEST(AdvisorServiceTest, WarmResolveCacheHitRateAtLeastPointNine) {
+// ServiceOptions::num_threads is the thread count of every solve: 1
+// is serial (no pool; a solve must not fall back to the hardware
+// default), and more than one runs on the service's resident pool.
+TEST(AdvisorServiceTest, SerialServiceSolvesSerially) {
+  for (const int threads : {1, 2}) {
+    ServiceOptions options = SmallServiceOptions();
+    options.num_threads = threads;
+    AdvisorService service(options);
+    ASSERT_TRUE(service.IngestSql(TraceBatch(2)).ok());
+    const RecommendAnswer answer =
+        service.RecommendNow(RecommendRequest{}).value();
+    EXPECT_EQ(answer.stats.threads_used, threads);
+  }
+}
+
+// Every solve publishes into the service registry (never the caller's
+// metrics slot), and its spans land on the request's tracer when it
+// brings one, else on ServiceOptions::observability's.
+TEST(AdvisorServiceTest, SolveSinksComeFromTheServiceAndTheRequest) {
+  MetricsRegistry caller_metrics;
+  Tracer service_tracer;
   ServiceOptions options = SmallServiceOptions();
-  options.window_statements = 30;
+  options.observability.metrics = &caller_metrics;
+  options.observability.tracer = &service_tracer;
   AdvisorService service(options);
+  ASSERT_TRUE(service.IngestSql(TraceBatch(4)).ok());
 
-  ASSERT_TRUE(service.IngestSql(TraceBatch(7)).ok());
-  const RecommendAnswer cold =
-      service.RecommendNow(RecommendRequest{}).value();
-  EXPECT_GT(cold.stats.cost_cache_misses, 0);
+  ASSERT_TRUE(service.RecommendNow(RecommendRequest{}).ok());
+  EXPECT_EQ(service.registry()->Snapshot().CounterValue("solver.solves"), 1);
+  EXPECT_EQ(caller_metrics.Snapshot().CounterValue("solver.solves"), 0);
+  const size_t service_events = service_tracer.num_events();
+  EXPECT_GT(service_events, 0u);
 
-  // Slide the window with the same statement shapes and re-solve: the
-  // persistent cache answers (almost) every costing.
-  ASSERT_TRUE(service.IngestSql(TraceBatch(7)).ok());
-  const RecommendAnswer warm =
-      service.RecommendNow(RecommendRequest{}).value();
-  EXPECT_FALSE(warm.reused_resident);
-  const int64_t probes =
-      warm.stats.cost_cache_hits + warm.stats.cost_cache_misses;
-  ASSERT_GT(probes, 0);
-  const double hit_rate =
-      static_cast<double>(warm.stats.cost_cache_hits) /
-      static_cast<double>(probes);
-  EXPECT_GE(hit_rate, 0.9) << "hits=" << warm.stats.cost_cache_hits
-                           << " misses=" << warm.stats.cost_cache_misses;
+  // A request tracer wins for that solve. k=1 differs from the
+  // resident answer's k=2, so this is a fresh solve.
+  Tracer request_tracer;
+  RecommendRequest request;
+  request.k = 1;
+  const RecommendAnswer answer =
+      service.RecommendNow(request, &request_tracer).value();
+  EXPECT_FALSE(answer.reused_resident);
+  EXPECT_GT(request_tracer.num_events(), 0u);
+  EXPECT_EQ(service_tracer.num_events(), service_events);
+  EXPECT_EQ(service.registry()->Snapshot().CounterValue("solver.solves"), 2);
 }
 
 TEST(AdvisorServiceTest, ResidentSolutionAnswersIdenticalRepeatRequests) {

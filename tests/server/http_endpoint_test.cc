@@ -98,7 +98,7 @@ TEST(HttpEndpointTest, MetricsAndVarzRenderTheLiveRegistry) {
   EXPECT_NE(metrics.body.find("server_window_statements 5"),
             std::string::npos);
   // Solver-side metrics flow through after a recommend.
-  EXPECT_NE(metrics.body.find("cost_cache_misses"), std::string::npos);
+  EXPECT_NE(metrics.body.find("solver_costings"), std::string::npos);
   EXPECT_NE(metrics.body.find("mem_peak_bytes_total"), std::string::npos);
 
   const HttpResponse varz = endpoint.Route("/varz");

@@ -40,9 +40,12 @@ class AdvisorServerFlagsTest(unittest.TestCase):
         self.assertIn("--postmortem-dir", result.stdout)
 
     def test_unknown_flag_fails(self):
-        result = self.run_server("--frobnicate")
-        self.assert_usage_error(result)
-        self.assertIn("unknown argument --frobnicate", result.stderr)
+        # --cache-max-bytes capped a cost cache that no longer exists.
+        for args in (("--frobnicate",), ("--cache-max-bytes", "1024")):
+            with self.subTest(flag=args[0]):
+                result = self.run_server(*args)
+                self.assert_usage_error(result)
+                self.assertIn("unknown argument " + args[0], result.stderr)
 
     def test_slowlog_n_rejects_zero(self):
         self.assert_usage_error(self.run_server("--slowlog-n", "0"))

@@ -8,8 +8,8 @@ above the threshold fails, one below the --min-seconds noise floor
 does not, a missing case is reported without failing, malformed JSON
 is skipped with a warning, a schema-v2 memory regression fails on its
 own even when the wall times are flat, and the schema-v3 throughput
-(relaxations_per_sec, lower = regression) and cost-cache
-(cache_hit_rate, absolute delta) columns gate independently.
+columns (relaxations_per_sec, statements_per_sec, requests_per_sec;
+lower = regression) gate independently.
 
 Registered with ctest as `bench_compare_test` (see tests/CMakeLists.txt).
 """
@@ -42,8 +42,8 @@ def report(bench, cases, schema_version=3):
 
 
 def case(name, wall_seconds, peak_bytes=None, cpu_seconds=0.0,
-         relaxations_per_sec=None, cache_hit_rate=None,
-         statements_per_sec=None, requests_per_sec=None):
+         relaxations_per_sec=None, statements_per_sec=None,
+         requests_per_sec=None):
     c = {"name": name, "cpu_seconds": cpu_seconds, "metrics": {}}
     if wall_seconds is not None:
         c["wall_seconds"] = wall_seconds
@@ -51,8 +51,6 @@ def case(name, wall_seconds, peak_bytes=None, cpu_seconds=0.0,
         c["peak_bytes"] = peak_bytes
     if relaxations_per_sec is not None:
         c["relaxations_per_sec"] = relaxations_per_sec
-    if cache_hit_rate is not None:
-        c["cache_hit_rate"] = cache_hit_rate
     if statements_per_sec is not None:
         c["statements_per_sec"] = statements_per_sec
     if requests_per_sec is not None:
@@ -264,32 +262,14 @@ class BenchCompareTest(unittest.TestCase):
         self.assertIn("[skip] b/zero", result.stdout)
         self.assertIn("zero", result.stdout)
 
-    def test_cache_hit_rate_drop_fails(self):
-        self.write(self.base_dir,
-                   report("h", [case("warm", 1.0, cache_hit_rate=0.97)]))
-        self.write(self.cur_dir,
-                   report("h", [case("warm", 1.0, cache_hit_rate=0.50)]))
-        result = self.run_compare()
-        self.assertEqual(result.returncode, 1, result.stdout)
-        self.assertIn("[cache]", result.stdout)
-
-    def test_cache_hit_rate_wobble_within_delta_passes(self):
-        self.write(self.base_dir,
-                   report("h", [case("warm", 1.0, cache_hit_rate=0.97)]))
-        self.write(self.cur_dir,
-                   report("h", [case("warm", 1.0, cache_hit_rate=0.95)]))
-        result = self.run_compare()
-        self.assertEqual(result.returncode, 0, result.stdout)
-
     def test_v2_baseline_against_v3_run_has_no_rate_columns(self):
         self.write(self.base_dir,
                    report("r", [case("c", 1.0)], schema_version=2))
         self.write(self.cur_dir,
-                   report("r", [case("c", 1.0, relaxations_per_sec=1e6,
-                                     cache_hit_rate=0.1)]))
+                   report("r", [case("c", 1.0, relaxations_per_sec=1e6)]))
         result = self.run_compare()
         self.assertEqual(result.returncode, 0, result.stdout)
-        self.assertIn("0 with throughput/cache columns", result.stdout)
+        self.assertIn("0 with throughput columns", result.stdout)
 
     def test_warn_only_reports_but_exits_zero(self):
         self.write(self.base_dir, report("b", [case("slow", 1.0)]))

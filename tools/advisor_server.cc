@@ -1,12 +1,12 @@
 // The resident advisor: a long-lived server that keeps the catalog, a
-// warm SolverSession (persistent cost cache + thread pool + metrics)
-// and the last solution in memory, and serves INGEST / WHATIF /
-// RECOMMEND / STATS / SHUTDOWN over the length-prefixed frame protocol
-// of src/server/frame.h (see docs/serving.md).
+// solver thread pool, a metrics registry and the last solution in
+// memory, and serves INGEST / WHATIF / RECOMMEND / STATS / SHUTDOWN
+// over the length-prefixed frame protocol of src/server/frame.h (see
+// docs/serving.md).
 //
 //   advisor_server [--port N] [--host A.B.C.D] [--http-port N]
 //                  [--rows N] [--block N] [--k N] [--window N]
-//                  [--threads N] [--cache-max-bytes N] [--deadline-ms N]
+//                  [--threads N] [--deadline-ms N]
 //                  [--memory-limit-bytes N] [--slowlog-n N]
 //                  [--record PATH] [--record-ring N]
 //                  [--record-segment-bytes N] [--postmortem-dir DIR]
@@ -52,7 +52,6 @@ struct ServerCliArgs {
   int64_t k = 2;  // < 0 = unconstrained default.
   int64_t window = 10'000;
   int64_t threads = 0;
-  int64_t cache_max_bytes = 0;
   int64_t deadline_ms = -1;
   int64_t memory_limit_bytes = -1;
   int64_t slowlog_n = 32;
@@ -84,10 +83,8 @@ void PrintHelp(std::FILE* out) {
       "                    RECOMMEND requests can override per call)\n"
       "  --window N        sliding-window cap in statements (0 = keep\n"
       "                    everything; default 10000)\n"
-      "  --threads N       solver pool workers (0 = hardware default)\n"
-      "  --cache-max-bytes N\n"
-      "                    byte cap of the persistent cost cache\n"
-      "                    (0 = unbounded)\n"
+      "  --threads N       solver pool workers (0 = hardware default,\n"
+      "                    1 = serial)\n"
       "  --deadline-ms N   default per-request solve deadline\n"
       "  --memory-limit-bytes N\n"
       "                    default per-request solver memory budget\n"
@@ -146,10 +143,6 @@ bool ParseArgs(int argc, char** argv, ServerCliArgs* args) {
       if (!next(&args->window) || args->window < 0) return false;
     } else if (arg == "--threads") {
       if (!next(&args->threads) || args->threads < 0) return false;
-    } else if (arg == "--cache-max-bytes") {
-      if (!next(&args->cache_max_bytes) || args->cache_max_bytes < 0) {
-        return false;
-      }
     } else if (arg == "--deadline-ms") {
       if (!next(&args->deadline_ms) || args->deadline_ms < 0) return false;
     } else if (arg == "--memory-limit-bytes") {
@@ -218,7 +211,6 @@ int main(int argc, char** argv) {
   }
   service_options.window_statements = static_cast<size_t>(args.window);
   service_options.num_threads = static_cast<int>(args.threads);
-  service_options.cost_cache_max_bytes = args.cache_max_bytes;
   if (args.deadline_ms >= 0) {
     service_options.default_deadline =
         std::chrono::milliseconds(args.deadline_ms);
