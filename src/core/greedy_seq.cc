@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/stopwatch.h"
-#include "core/unconstrained_optimizer.h"
 
 namespace cdpd {
 
@@ -146,17 +145,10 @@ Result<GreedySeqResult> SolveGreedySeq(const DesignProblem& problem,
                LogField("reduced_candidates",
                         reduced_problem.candidates.size()));
     }
-    if (!k.has_value()) {
-      CDPD_ASSIGN_OR_RETURN(
-          result.schedule,
-          SolveUnconstrained(reduced_problem, &graph_stats, pool, tracer,
-                             graph_budget, progress, logger, tracker));
-    } else {
-      CDPD_ASSIGN_OR_RETURN(
-          result.schedule,
-          SolveKAware(reduced_problem, *k, &graph_stats, pool, tracer,
-                      graph_budget, progress, logger, tracker));
-    }
+    CDPD_ASSIGN_OR_RETURN(
+        result.schedule,
+        SolveKAware(reduced_problem, k, &graph_stats, pool, tracer,
+                    graph_budget, progress, logger, tracker));
   }
   result.stats.nodes_expanded = graph_stats.nodes_expanded;
   result.stats.relaxations = graph_stats.relaxations;

@@ -2,7 +2,6 @@
 
 #include "core/design_merging.h"
 #include "core/k_aware_graph.h"
-#include "core/unconstrained_optimizer.h"
 
 namespace cdpd {
 
@@ -32,8 +31,8 @@ Result<HybridResult> SolveHybrid(const DesignProblem& problem, int64_t k,
     CDPD_TRACE_SPAN(tracer, "hybrid.probe", "solver");
     CDPD_ASSIGN_OR_RETURN(
         unconstrained,
-        SolveUnconstrained(problem, &result.stats, pool, tracer, budget,
-                           progress, logger, tracker));
+        SolveKAware(problem, std::nullopt, &result.stats, pool, tracer,
+                    budget, progress, logger, tracker));
   }
   const int64_t l = CountChanges(problem, unconstrained.configs);
   result.unconstrained_changes = l;

@@ -69,15 +69,43 @@ int64_t PredictKAwareTableBytes(int64_t num_stages,
       bytes, RelaxScratchBytes(candidates, ChooseRelaxPath(candidates)));
 }
 
-Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
+namespace {
+
+/// Where one solve reports itself: the k-aware graph's names, or the
+/// plain sequence graph's for an unset k.
+struct DpNames {
+  const char* start;
+  const char* memory_limit;
+  const char* precompute;
+  const char* dp;
+  const char* deadline;
+  const char* end;
+  MemComponent table;
+};
+
+constexpr DpNames kKAwareNames = {
+    "kaware.start",    "kaware.memory_limit", "kaware.precompute",
+    "kaware.dp",       "kaware.deadline",     "kaware.end",
+    MemComponent::kKAwareTable};
+constexpr DpNames kUnconstrainedNames = {
+    "unconstrained.start", "unconstrained.memory_limit",
+    "unconstrained.precompute", "unconstrained.dp",
+    "unconstrained.deadline", "unconstrained.end",
+    MemComponent::kSequenceGraph};
+
+}  // namespace
+
+Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
+                                   std::optional<int64_t> k,
                                    SolveStats* stats, ThreadPool* pool,
                                    Tracer* tracer, const Budget* budget,
                                    const ProgressFn* progress, Logger* logger,
                                    ResourceTracker* tracker) {
   CDPD_RETURN_IF_ERROR(problem.Validate());
-  if (k < 0) {
+  if (k.has_value() && *k < 0) {
     return Status::InvalidArgument("change bound k must be >= 0");
   }
+  const DpNames& names = k.has_value() ? kKAwareNames : kUnconstrainedNames;
   const WhatIfEngine& what_if = *problem.what_if;
   const Stopwatch watch;
   const int64_t costings_before = what_if.costings();
@@ -102,11 +130,13 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
   // interior switches plus (when it counts) the initial build, so a
   // larger k buys nothing — clamp before sizing the DP table. The
   // clamp also makes k = INT64_MAX safe: layers is computed from the
-  // clamped value, never from k + 1 directly.
+  // clamped value, never from k + 1 directly. An unset k counts no
+  // changes and needs the one layer of k = 0.
   const int64_t max_changes =
       static_cast<int64_t>(n) - 1 + (problem.count_initial_change ? 1 : 0);
+  const int64_t k_or_zero = k.value_or(0);
   const size_t layers =
-      static_cast<size_t>(k >= max_changes ? max_changes : k) + 1;
+      static_cast<size_t>(std::min(k_or_zero, max_changes)) + 1;
   // The parent table holds n * layers * m cells; reject sizes that
   // overflow int64 before allocating (the allocation itself would
   // otherwise wrap size_t arithmetic or bad_alloc unpredictably).
@@ -130,12 +160,12 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
   ScopedReservation table_reservation;
   if (matrix_reservation.ok()) {
     table_reservation = ScopedReservation::Try(
-        tracker, MemComponent::kKAwareTable,
-        PredictKAwareTableBytes(static_cast<int64_t>(n), configs, k,
+        tracker, names.table,
+        PredictKAwareTableBytes(static_cast<int64_t>(n), configs, k_or_zero,
                                 problem.count_initial_change));
   }
   if (!matrix_reservation.ok() || !table_reservation.ok()) {
-    CDPD_LOG(logger, LogLevel::kWarn, "kaware.memory_limit",
+    CDPD_LOG(logger, LogLevel::kWarn, names.memory_limit,
              LogField("limit_bytes", tracker->limit_bytes()),
              LogField("fallback", "best-static"));
     CDPD_ASSIGN_OR_RETURN(schedule, BestStaticSchedule(problem, k));
@@ -153,11 +183,11 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
   CostMatrix matrix;
   std::vector<double> init_trans(m, 0.0);
   std::vector<double> final_trans(m, 0.0);
-  CDPD_LOG(logger, LogLevel::kInfo, "kaware.start", LogField("segments", n),
-           LogField("candidates", m), LogField("k", k),
+  CDPD_LOG(logger, LogLevel::kInfo, names.start, LogField("segments", n),
+           LogField("candidates", m), LogField("k", k.value_or(-1)),
            LogField("layers", layers));
   {
-    CDPD_TRACE_SPAN(tracer, "kaware.precompute", "solver");
+    CDPD_TRACE_SPAN(tracer, names.precompute, "solver");
     CDPD_ASSIGN_OR_RETURN(
         matrix, what_if.PrecomputeCostMatrix(configs, pool, tracer, budget,
                                              progress, logger));
@@ -184,10 +214,11 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
   // parent[(stage * layers + l) * m + c] for path reconstruction.
   std::vector<DpParent> parent(n * layers * m);
 
+  // Without a bound no change is counted, the initial build included.
+  const bool initial_counts = k.has_value() && problem.count_initial_change;
   for (size_t c = 0; c < m; ++c) {
     const bool is_initial = configs[c] == problem.initial;
-    const size_t layer =
-        (problem.count_initial_change && !is_initial) ? 1 : 0;
+    const size_t layer = (initial_counts && !is_initial) ? 1 : 0;
     if (layer >= layers) continue;
     const double cost = init_trans[c] + matrix.Exec(0, c);
     if (cost < dist[layer * m + c]) {
@@ -200,7 +231,8 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
   // kernel picks the scan or the subset-lattice path from the space;
   // either way the schedule is independent of the thread count.
   std::vector<double> next(layers * m, kInf);
-  RelaxKernel kernel(matrix, configs, layers, /*count_changes=*/true,
+  RelaxKernel kernel(matrix, configs, layers,
+                     /*count_changes=*/k.has_value(),
                      ChooseRelaxPath(configs));
   std::vector<ConfigId> path(n);
   // Walks the parent table back from (last_stage, l, c) into path.
@@ -262,16 +294,15 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
     return frozen;
   };
 
-  CDPD_TRACE_SPAN(tracer, "kaware.dp", "solver",
-                  static_cast<int64_t>(n - 1));
+  CDPD_TRACE_SPAN(tracer, names.dp, "solver", static_cast<int64_t>(n - 1));
   for (size_t stage = 1; stage < n; ++stage) {
     if (BudgetExpired(budget)) {
-      CDPD_LOG(logger, LogLevel::kWarn, "kaware.deadline",
+      CDPD_LOG(logger, LogLevel::kWarn, names.deadline,
                LogField("stage", stage), LogField("stages", n));
       CDPD_ASSIGN_OR_RETURN(DesignSchedule frozen, freeze_prefix(stage - 1));
       return finish(std::move(frozen));
     }
-    ReportProgress(progress, "kaware.dp",
+    ReportProgress(progress, names.dp,
                    static_cast<double>(stage) / static_cast<double>(n));
     kernel.RelaxStage(stage, dist.data(), next.data(),
                       parent.data() + stage * layers * m);
@@ -304,9 +335,9 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
   for (const ConfigId id : path) schedule.configs.push_back(configs[id]);
   schedule.total_cost =
       PricePath(matrix, path, init_trans.data(), final_or_null);
-  ReportProgress(progress, "kaware.dp", 1.0, schedule.total_cost);
+  ReportProgress(progress, names.dp, 1.0, schedule.total_cost);
   schedule = finish(std::move(schedule));
-  CDPD_LOG(logger, LogLevel::kInfo, "kaware.end",
+  CDPD_LOG(logger, LogLevel::kInfo, names.end,
            LogField("cost", schedule.total_cost),
            LogField("nodes_expanded", local_stats.nodes_expanded),
            LogField("relaxations", local_stats.relaxations));

@@ -2,6 +2,7 @@
 #define CDPD_CORE_K_AWARE_GRAPH_H_
 
 #include <cstdint>
+#include <optional>
 
 #include "common/budget.h"
 #include "common/log.h"
@@ -49,17 +50,28 @@ int64_t PredictKAwareTableBytes(int64_t num_stages,
                                 const CandidateSpace& candidates, int64_t k,
                                 bool count_initial_change);
 
-/// Optimal *constrained* dynamic physical design (§3, the paper's
-/// contribution): shortest path through the k-aware sequence graph,
-/// whose layer l holds the cheapest ways to reach a stage with at most
-/// l design changes. Staying in the same configuration keeps the
-/// layer; switching configurations moves one layer down. The paper's
-/// scan runs in O(k * n * |C|^2) time (= O(k n 2^{2m})); over an
-/// exact-mask space where it pays, the relaxation kernel instead
-/// prices change edges with a subset-lattice transform in
-/// O(k * n * u * 2^u) for u universe indexes (core/relax_stage.h).
-/// Returns a schedule with at most k changes under the problem's
-/// change-counting policy.
+/// Optimal dynamic physical design (§3): the shortest path through the
+/// k-aware sequence graph, whose layer l holds the cheapest ways to
+/// reach a stage with at most l design changes. Staying in the same
+/// configuration keeps the layer; switching configurations moves one
+/// layer down. The paper's scan runs in O(k * n * |C|^2) time
+/// (= O(k n 2^{2m})); over an exact-mask space where it pays, the
+/// relaxation kernel instead prices change edges with a subset-lattice
+/// transform in O(k * n * u * 2^u) for u universe indexes
+/// (core/relax_stage.h). With k set the schedule makes at most k
+/// changes under the problem's change-counting policy.
+///
+/// With k unset the solve is the *unconstrained* optimum (Agrawal,
+/// Chu & Narasayya's sequence graph, Figure 1): one layer whose change
+/// edges stay inside it, i.e. the stage-by-stage DP
+///
+///   dist_1(c) = TRANS(C0, c) + EXEC(S_1, c)
+///   dist_i(c) = min_{c'} [ dist_{i-1}(c') + TRANS(c', c) ] + EXEC(S_i, c)
+///
+/// in O(n * |C|^2) (or O(n * u * 2^u) on the lattice). It records its
+/// spans, log events and progress under "unconstrained.*" instead of
+/// "kaware.*" and charges its table to kSequenceGraph instead of
+/// kKAwareTable; everything else below holds for both.
 ///
 /// The solve first precomputes the dense EXEC/TRANS cost matrices
 /// (WhatIfEngine::PrecomputeCostMatrix, fanned out across `pool` when
@@ -69,12 +81,12 @@ int64_t PredictKAwareTableBytes(int64_t num_stages,
 /// path re-priced in EvaluateScheduleCost's order (PricePath), so it
 /// equals EvaluateScheduleCost bit for bit.
 ///
-/// k must be >= 0. A bound larger than the most changes any schedule
-/// can make (n - 1 interior changes, plus the initial build when it
-/// counts) is clamped to that maximum, so huge k costs no extra layers
-/// and cannot overflow the DP table sizing; a table that would still
-/// not fit in int64 cells is rejected with InvalidArgument *before*
-/// any allocation.
+/// k must be >= 0 when set. A bound larger than the most changes any
+/// schedule can make (n - 1 interior changes, plus the initial build
+/// when it counts) is clamped to that maximum, so huge k costs no extra
+/// layers and cannot overflow the DP table sizing; a table that would
+/// still not fit in int64 cells is rejected with InvalidArgument
+/// *before* any allocation.
 ///
 /// `stats`, `pool`, and `tracer` are optional; with a tracer the solve
 /// records one "kaware.precompute" and one "kaware.dp" span (arg = the
@@ -102,7 +114,8 @@ int64_t PredictKAwareTableBytes(int64_t num_stages,
 /// the solve degrades instead of allocating: it returns
 /// BestStaticSchedule (flagged best_effort/deadline_hit) rather than
 /// building tables it has no budget for.
-Result<DesignSchedule> SolveKAware(const DesignProblem& problem, int64_t k,
+Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
+                                   std::optional<int64_t> k,
                                    SolveStats* stats = nullptr,
                                    ThreadPool* pool = nullptr,
                                    Tracer* tracer = nullptr,

@@ -40,10 +40,9 @@ RelaxPath ChooseRelaxPath(const CandidateSpace& space);
 /// one double and one int32 argmin per lattice point (0 for the scan).
 int64_t RelaxScratchBytes(const CandidateSpace& space, RelaxPath path);
 
-/// The one layered DP relaxation kernel behind SolveKAware,
-/// SolveKAwareSegmented and SolveUnconstrained. Serial: the solvers
-/// call it once per stage, so every argmin is independent of the
-/// thread count.
+/// The one layered DP relaxation kernel behind SolveKAware (set or
+/// unset k) and SolveKAwareSegmented. Serial: the solvers call it once
+/// per stage, so every argmin is independent of the thread count.
 ///
 /// A cell (l, c) of stage s takes the cheaper of its stay edge
 /// (dist[l][c], same layer, same configuration) and the change edges
@@ -51,9 +50,9 @@ int64_t RelaxScratchBytes(const CandidateSpace& space, RelaxPath path);
 /// `count_changes` the change edges come from layer src = l - 1 (layer
 /// 0 has none), so layer l means "at most l changes": the lattice path
 /// may land a change edge on p = c at zero TRANS, and the scan never
-/// beats a stay edge that way. Without it (the unconstrained DP, one
-/// layer) src = l. Ties keep the stay edge; the scan then prefers the
-/// lowest p, the lattice a deterministic lattice order.
+/// beats a stay edge that way. Without it (an unset k's one layer)
+/// src = l. Ties keep the stay edge; the scan then prefers the lowest
+/// p, the lattice a deterministic lattice order.
 class RelaxKernel {
  public:
   /// `matrix` and `space` must outlive the kernel; `layers` >= 1.

@@ -17,10 +17,11 @@ namespace cdpd {
 /// so a path's weight is exactly the sequence execution cost of the
 /// design schedule it spells.
 ///
-/// The DP solvers (core/unconstrained_optimizer.h, k_aware_graph.h) do
-/// not materialize this graph; it exists for introspection (node/edge
-/// inventory, DOT rendering) and for the shortest-path *ranking*
-/// approach of §5, which enumerates whole paths.
+/// The DP solver (core/k_aware_graph.h, whose unset-k solve is this
+/// graph's shortest path) does not materialize it; it exists for
+/// introspection (node/edge inventory, DOT rendering) and for the
+/// shortest-path *ranking* approach of §5, which enumerates whole
+/// paths.
 class SequenceGraph {
  public:
   using NodeId = int32_t;

@@ -21,7 +21,9 @@ namespace cdpd {
 /// MetricsRegistry via PublishTo(), and FromSnapshot() reconstructs a
 /// SolveStats from a registry snapshot — so external consumers of the
 /// metrics export and in-process callers of Solve() read the same
-/// numbers (the tests enforce the round trip).
+/// numbers (the tests enforce the round trip). All four views walk one
+/// field table in solve_stats.cc, so a field added there appears in
+/// each of them.
 struct SolveStats {
   /// Wall-clock time of the solve.
   double wall_seconds = 0.0;
@@ -93,39 +95,10 @@ struct SolveStats {
   bool memory_limit_hit = false;
 
   /// Accumulates another solve's counters (used by compound methods:
-  /// hybrid, greedy-seq, merging-after-unconstrained). Wall time adds;
-  /// threads_used keeps the maximum; the fallback flags OR.
-  void Accumulate(const SolveStats& other) {
-    wall_seconds += other.wall_seconds;
-    costings += other.costings;
-    if (other.threads_used > threads_used) threads_used = other.threads_used;
-    nodes_expanded += other.nodes_expanded;
-    relaxations += other.relaxations;
-    paths_enumerated += other.paths_enumerated;
-    merge_steps += other.merge_steps;
-    candidate_evaluations += other.candidate_evaluations;
-    pruned_configs += other.pruned_configs;
-    // Decomposition shape, not work: keep the widest decomposition
-    // seen, like threads_used.
-    if (other.segment_chunks > segment_chunks) {
-      segment_chunks = other.segment_chunks;
-    }
-    if (other.stitch_window > stitch_window) {
-      stitch_window = other.stitch_window;
-    }
-    deadline_hit = deadline_hit || other.deadline_hit;
-    best_effort = best_effort || other.best_effort;
-    cpu_seconds += other.cpu_seconds;
-    if (other.peak_bytes_total > peak_bytes_total) {
-      peak_bytes_total = other.peak_bytes_total;
-    }
-    for (int i = 0; i < kNumMemComponents; ++i) {
-      if (other.component_peak_bytes[i] > component_peak_bytes[i]) {
-        component_peak_bytes[i] = other.component_peak_bytes[i];
-      }
-    }
-    memory_limit_hit = memory_limit_hit || other.memory_limit_hit;
-  }
+  /// hybrid, greedy-seq, merging-after-unconstrained). Counters and wall
+  /// and CPU time add; threads_used, the decomposition shape and the
+  /// peaks keep the maximum; the fallback flags OR.
+  void Accumulate(const SolveStats& other);
 
   /// Copies `tracker`'s peaks into the memory fields (memory_limit_hit
   /// is set by Solve() from tracker.limit_exceeded(), not here, so a

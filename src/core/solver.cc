@@ -8,7 +8,6 @@
 #include "core/hybrid_optimizer.h"
 #include "core/k_aware_graph.h"
 #include "core/path_ranking.h"
-#include "core/unconstrained_optimizer.h"
 
 namespace cdpd {
 
@@ -58,6 +57,20 @@ const char* MethodSpanName(OptimizerMethod method) {
       return "solve.hybrid";
   }
   return "solve";
+}
+
+/// SolveResult::method_detail of an unconstrained solve, per method.
+const char* UnconstrainedDetail(OptimizerMethod method) {
+  switch (method) {
+    case OptimizerMethod::kMerging:
+      return "merging (no constraint; unconstrained optimum)";
+    case OptimizerMethod::kRanking:
+      return "ranking (no constraint; shortest path)";
+    case OptimizerMethod::kHybrid:
+      return "hybrid (no constraint; shortest path)";
+    default:
+      return "sequence-graph shortest path";
+  }
 }
 
 }  // namespace
@@ -198,16 +211,19 @@ Result<SolveResult> Solve(const DesignProblem& problem,
   result.tracer = tracer;
   CDPD_TRACE_SPAN(tracer, MethodSpanName(options.method), "solver",
                   options.k.value_or(Tracer::kNoArg));
-  switch (options.method) {
-    case OptimizerMethod::kOptimal: {
-      if (!options.k.has_value()) {
-        CDPD_ASSIGN_OR_RETURN(
-            result.schedule,
-            SolveUnconstrained(*active, &result.stats, pool, tracer, budget,
-                               progress, logger, &tracker));
-        result.method_detail = "sequence-graph shortest path";
-        result.unconstrained_cost = result.schedule.total_cost;
-      } else {
+  if (!options.k.has_value() &&
+      options.method != OptimizerMethod::kGreedySeq) {
+    // Without a bound every method but GREEDY-SEQ (which solves its own
+    // reduced candidate set) is exact as the sequence-graph optimum.
+    CDPD_ASSIGN_OR_RETURN(
+        result.schedule,
+        SolveKAware(*active, std::nullopt, &result.stats, pool, tracer,
+                    budget, progress, logger, &tracker));
+    result.method_detail = UnconstrainedDetail(options.method);
+    result.unconstrained_cost = result.schedule.total_cost;
+  } else {
+    switch (options.method) {
+      case OptimizerMethod::kOptimal: {
         const size_t chunks =
             ResolveNumChunks(options.segmented, active->num_segments());
         if (chunks >= 2) {
@@ -221,37 +237,32 @@ Result<SolveResult> Solve(const DesignProblem& problem,
         } else {
           CDPD_ASSIGN_OR_RETURN(
               result.schedule,
-              SolveKAware(*active, *options.k, &result.stats, pool, tracer,
+              SolveKAware(*active, options.k, &result.stats, pool, tracer,
                           budget, progress, logger, &tracker));
           result.method_detail = "k-aware sequence graph";
         }
+        break;
       }
-      break;
-    }
-    case OptimizerMethod::kGreedySeq: {
-      CDPD_ASSIGN_OR_RETURN(GreedySeqResult greedy_result,
-                            SolveGreedySeq(*active, options.k, options.greedy,
-                                           pool, tracer, budget, progress,
-                                           logger, &tracker));
-      result.schedule = std::move(greedy_result.schedule);
-      result.stats = greedy_result.stats;
-      result.reduced_candidates =
-          std::move(greedy_result.reduced_candidates);
-      result.method_detail =
-          "greedy-seq reduced candidates: " +
-          std::to_string(result.reduced_candidates.size());
-      break;
-    }
-    case OptimizerMethod::kMerging: {
-      CDPD_ASSIGN_OR_RETURN(
-          DesignSchedule unconstrained,
-          SolveUnconstrained(*active, &result.stats, pool, tracer, budget,
-                             progress, logger, &tracker));
-      result.unconstrained_cost = unconstrained.total_cost;
-      if (!options.k.has_value()) {
-        result.schedule = std::move(unconstrained);
-        result.method_detail = "merging (no constraint; unconstrained optimum)";
-      } else {
+      case OptimizerMethod::kGreedySeq: {
+        CDPD_ASSIGN_OR_RETURN(
+            GreedySeqResult greedy_result,
+            SolveGreedySeq(*active, options.k, options.greedy, pool, tracer,
+                           budget, progress, logger, &tracker));
+        result.schedule = std::move(greedy_result.schedule);
+        result.stats = greedy_result.stats;
+        result.reduced_candidates =
+            std::move(greedy_result.reduced_candidates);
+        result.method_detail =
+            "greedy-seq reduced candidates: " +
+            std::to_string(result.reduced_candidates.size());
+        break;
+      }
+      case OptimizerMethod::kMerging: {
+        CDPD_ASSIGN_OR_RETURN(
+            DesignSchedule unconstrained,
+            SolveKAware(*active, std::nullopt, &result.stats, pool, tracer,
+                        budget, progress, logger, &tracker));
+        result.unconstrained_cost = unconstrained.total_cost;
         SolveStats merge_stats;
         CDPD_ASSIGN_OR_RETURN(
             result.schedule,
@@ -261,18 +272,9 @@ Result<SolveResult> Solve(const DesignProblem& problem,
         result.stats.Accumulate(merge_stats);
         result.method_detail =
             "merging steps: " + std::to_string(merge_stats.merge_steps);
+        break;
       }
-      break;
-    }
-    case OptimizerMethod::kRanking: {
-      if (!options.k.has_value()) {
-        CDPD_ASSIGN_OR_RETURN(
-            result.schedule,
-            SolveUnconstrained(*active, &result.stats, pool, tracer, budget,
-                               progress, logger, &tracker));
-        result.method_detail = "ranking (no constraint; shortest path)";
-        result.unconstrained_cost = result.schedule.total_cost;
-      } else {
+      case OptimizerMethod::kRanking: {
         CDPD_ASSIGN_OR_RETURN(
             result.schedule,
             SolveByRanking(*active, *options.k, options.ranking_max_paths,
@@ -280,18 +282,9 @@ Result<SolveResult> Solve(const DesignProblem& problem,
                            logger, &tracker));
         result.method_detail =
             "ranked paths: " + std::to_string(result.stats.paths_enumerated);
+        break;
       }
-      break;
-    }
-    case OptimizerMethod::kHybrid: {
-      if (!options.k.has_value()) {
-        CDPD_ASSIGN_OR_RETURN(
-            result.schedule,
-            SolveUnconstrained(*active, &result.stats, pool, tracer, budget,
-                               progress, logger, &tracker));
-        result.method_detail = "hybrid (no constraint; shortest path)";
-        result.unconstrained_cost = result.schedule.total_cost;
-      } else {
+      case OptimizerMethod::kHybrid: {
         CDPD_ASSIGN_OR_RETURN(
             HybridResult hybrid,
             SolveHybrid(*active, *options.k, pool, tracer, budget, progress,
@@ -302,8 +295,8 @@ Result<SolveResult> Solve(const DesignProblem& problem,
         result.method_detail =
             std::string("hybrid chose ") +
             std::string(HybridChoiceToString(hybrid.choice));
+        break;
       }
-      break;
     }
   }
   // Pruning ran before the dispatched solver reset the stats, so its

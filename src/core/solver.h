@@ -40,9 +40,8 @@ Result<OptimizerMethod> OptimizerMethodFromString(std::string_view name);
 
 /// Everything that parameterizes one Solve() call, uniform across the
 /// five techniques. Replaces the divergent free-function signatures
-/// (SolveKAware/SolveGreedySeq/SolveHybrid/SolveByRanking/
-/// SolveUnconstrained), which remain available as lower-level entry
-/// points.
+/// (SolveKAware/SolveGreedySeq/SolveHybrid/SolveByRanking), which
+/// remain available as lower-level entry points.
 struct SolveOptions {
   OptimizerMethod method = OptimizerMethod::kOptimal;
   /// Change bound k; nullopt = unconstrained (no magic -1 sentinel).
@@ -164,11 +163,12 @@ struct SolveResult {
 
 /// The unified solver entry point: dispatches to the technique
 /// `options.method` selects, handling the unconstrained case
-/// (options.k == nullopt) uniformly — methods whose constrained logic
-/// needs a bound fall back to the plain sequence-graph optimum, which
-/// is exact for all of them. A thread pool of options.num_threads
-/// workers is spun up for the what-if precompute and the parallel DP
-/// sweeps; schedules and costs are identical for any thread count.
+/// (options.k == nullopt) once — every method but GREEDY-SEQ, which
+/// searches its own reduced candidate set, returns the plain
+/// sequence-graph optimum (SolveKAware with k unset), which is exact
+/// for all of them. A thread pool of options.num_threads workers is
+/// spun up for the what-if precompute and the parallel DP sweeps;
+/// schedules and costs are identical for any thread count.
 ///
 /// With options.deadline / options.cancel set the solve is *anytime*:
 /// expiry or cancellation makes it return its best feasible schedule

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/k_aware_graph.h"
-#include "core/unconstrained_optimizer.h"
 #include "test_util.h"
 
 namespace cdpd {
@@ -13,7 +12,7 @@ using testing_util::MakeRandomProblem;
 
 TEST(DesignMergingTest, ReducesChangesToBound) {
   auto fixture = MakeRandomProblem(50, 8, 15);
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
   for (int64_t k = 0; k <= 4; ++k) {
     auto merged = MergeToConstraint(fixture->problem, *unconstrained, k);
@@ -25,7 +24,7 @@ TEST(DesignMergingTest, ReducesChangesToBound) {
 
 TEST(DesignMergingTest, NoOpWhenConstraintAlreadySatisfied) {
   auto fixture = MakeRandomProblem(51, 6, 15);
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
   const int64_t l = CountChanges(fixture->problem, unconstrained->configs);
   SolveStats stats;
@@ -39,7 +38,7 @@ TEST(DesignMergingTest, NoOpWhenConstraintAlreadySatisfied) {
 TEST(DesignMergingTest, NeverBeatsOptimalConstrainedCost) {
   for (uint64_t seed = 52; seed < 56; ++seed) {
     auto fixture = MakeRandomProblem(seed, 6, 12);
-    auto unconstrained = SolveUnconstrained(fixture->problem);
+    auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
     ASSERT_TRUE(unconstrained.ok());
     for (int64_t k = 0; k <= 3; ++k) {
       auto merged = MergeToConstraint(fixture->problem, *unconstrained, k);
@@ -54,7 +53,7 @@ TEST(DesignMergingTest, NeverBeatsOptimalConstrainedCost) {
 
 TEST(DesignMergingTest, StepCountBoundedByInitialChanges) {
   auto fixture = MakeRandomProblem(57, 10, 12);
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
   const int64_t l = CountChanges(fixture->problem, unconstrained->configs);
   SolveStats stats;
@@ -69,7 +68,7 @@ TEST(DesignMergingTest, StepCountBoundedByInitialChanges) {
 
 TEST(DesignMergingTest, ReportedCostMatchesEvaluation) {
   auto fixture = MakeRandomProblem(58, 7, 12);
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
   auto merged = MergeToConstraint(fixture->problem, *unconstrained, 1);
   ASSERT_TRUE(merged.ok());
@@ -100,7 +99,7 @@ TEST(DesignMergingTest, RejectsWrongScheduleLength) {
 
 TEST(DesignMergingTest, RejectsNegativeK) {
   auto fixture = MakeRandomProblem(61, 4, 10);
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
   EXPECT_EQ(
       MergeToConstraint(fixture->problem, *unconstrained, -1).status().code(),
@@ -110,7 +109,7 @@ TEST(DesignMergingTest, RejectsNegativeK) {
 TEST(DesignMergingTest, CountedInitialChangeWithKZeroFallsBackToC0) {
   auto fixture = MakeRandomProblem(62, 5, 10);
   fixture->problem.count_initial_change = true;
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
   auto merged = MergeToConstraint(fixture->problem, *unconstrained, 0);
   ASSERT_TRUE(merged.ok());

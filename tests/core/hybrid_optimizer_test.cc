@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/k_aware_graph.h"
-#include "core/unconstrained_optimizer.h"
 #include "test_util.h"
 
 namespace cdpd {
@@ -13,7 +12,7 @@ using testing_util::MakeRandomProblem;
 
 TEST(HybridOptimizerTest, ReturnsUnconstrainedWhenItFits) {
   auto fixture = MakeRandomProblem(110, 6, 15);
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
   const int64_t l = CountChanges(fixture->problem, unconstrained->configs);
   auto hybrid = SolveHybrid(fixture->problem, l);
@@ -48,7 +47,7 @@ TEST(HybridOptimizerTest, SmallKUsesGraphAndIsOptimal) {
 
 TEST(HybridOptimizerTest, ChoiceFollowsWorkEstimates) {
   auto fixture = MakeRandomProblem(113, 12, 10);
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
   const int64_t l = CountChanges(fixture->problem, unconstrained->configs);
   if (l < 2) GTEST_SKIP() << "fixture produced a trivial schedule";

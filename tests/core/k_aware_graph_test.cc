@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force.h"
-#include "core/unconstrained_optimizer.h"
 #include "test_util.h"
 
 namespace cdpd {
@@ -52,7 +51,7 @@ TEST(KAwareGraphTest, HugeKSolvesViaLayerClamping) {
   // layer count instead of allocating (or overflowing) a k+1-layer
   // table. INT64_MAX must behave exactly like k = n-1.
   auto fixture = MakeRandomProblem(48, 6, 15);
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
   auto huge = SolveKAware(fixture->problem, std::numeric_limits<int64_t>::max());
   ASSERT_TRUE(huge.ok()) << huge.status().ToString();
@@ -99,7 +98,7 @@ TEST(KAwareGraphTest, CostIsMonotoneNonIncreasingInK) {
 
 TEST(KAwareGraphTest, LargeKEqualsUnconstrainedOptimum) {
   auto fixture = MakeRandomProblem(41, 6, 20);
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
   // k = n-1 can express any schedule of n segments.
   auto schedule = SolveKAware(fixture->problem, 5);
@@ -174,6 +173,89 @@ TEST(KAwareGraphTest, ForcedFinalConfigurationIsHonored) {
   auto without_final = SolveKAware(fixture->problem, 2);
   ASSERT_TRUE(without_final.ok());
   EXPECT_LE(without_final->total_cost, with_final->total_cost + 1e-9);
+}
+
+// An unset k: the unconstrained sequence-graph optimum, one layer whose
+// change edges stay inside it.
+
+TEST(UnconstrainedOptimizerTest, MatchesBruteForceOnSmallInstances) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    auto fixture = MakeRandomProblem(seed, /*num_segments=*/4,
+                                     /*block_size=*/10);
+    // Without a bound the change-counting policy must not matter.
+    for (bool count_initial : {false, true}) {
+      fixture->problem.count_initial_change = count_initial;
+      auto dp = SolveKAware(fixture->problem, std::nullopt);
+      auto brute = SolveBruteForce(fixture->problem, /*k=*/-1);
+      ASSERT_TRUE(dp.ok());
+      ASSERT_TRUE(brute.ok());
+      EXPECT_NEAR(dp->total_cost, brute->total_cost, 1e-6)
+          << "seed " << seed << ", count_initial_change " << count_initial;
+    }
+  }
+}
+
+TEST(UnconstrainedOptimizerTest, ReportedCostMatchesEvaluation) {
+  auto fixture = MakeRandomProblem(7, 6, 25);
+  SolveStats stats;
+  auto schedule = SolveKAware(fixture->problem, std::nullopt, &stats);
+  ASSERT_TRUE(schedule.ok());
+  EXPECT_NEAR(schedule->total_cost,
+              EvaluateScheduleCost(fixture->problem, schedule->configs),
+              1e-6);
+  EXPECT_EQ(schedule->configs.size(), 6u);
+  // The paper's m = 7 space takes the scan: one layer, so every cell of
+  // the n = 6 stages is reached and each of the 5 relaxed stages does a
+  // stay update plus m - 1 change updates per cell.
+  ASSERT_EQ(fixture->problem.candidates.size(), 7u);
+  EXPECT_EQ(stats.nodes_expanded, 6 * 7);
+  EXPECT_EQ(stats.relaxations, 5 * 7 * 7);
+}
+
+TEST(UnconstrainedOptimizerTest, EmptyWorkloadCostsNothing) {
+  auto fixture = MakeRandomProblem(8, 0, 1);
+  auto schedule = SolveKAware(fixture->problem, std::nullopt);
+  ASSERT_TRUE(schedule.ok());
+  EXPECT_TRUE(schedule->configs.empty());
+  EXPECT_DOUBLE_EQ(schedule->total_cost, 0.0);
+}
+
+TEST(UnconstrainedOptimizerTest, EmptyWorkloadWithForcedFinalPaysTransition) {
+  auto fixture = MakeRandomProblem(9, 0, 1);
+  const Configuration ia({IndexDef({0})});
+  fixture->problem.final_config = ia;
+  auto schedule = SolveKAware(fixture->problem, std::nullopt);
+  ASSERT_TRUE(schedule.ok());
+  EXPECT_DOUBLE_EQ(
+      schedule->total_cost,
+      fixture->problem.what_if->TransitionCost(Configuration::Empty(), ia));
+}
+
+TEST(UnconstrainedOptimizerTest, TracksHeavilySkewedWorkload) {
+  // A long all-a workload must recommend an a-index in (nearly) every
+  // segment once the build cost amortizes.
+  auto fixture = MakeRandomProblem(10, 8, 200, /*max_indexes_per_config=*/1,
+                                   /*num_rows=*/100'000,
+                                   /*update_fraction=*/0.0);
+  // Overwrite statements: every query hits column a.
+  for (BoundStatement& s : fixture->statements) {
+    s = BoundStatement::SelectPoint(0, 0, s.where_value);
+  }
+  WhatIfEngine what_if(fixture->model.get(), fixture->statements,
+                       fixture->segments);
+  fixture->problem.what_if = &what_if;
+  auto schedule = SolveKAware(fixture->problem, std::nullopt);
+  ASSERT_TRUE(schedule.ok());
+  for (const Configuration& config : schedule->configs) {
+    EXPECT_TRUE(config.Contains(IndexDef({0})) ||
+                config.Contains(IndexDef({0, 1})));
+  }
+}
+
+TEST(UnconstrainedOptimizerTest, ValidatesProblem) {
+  auto fixture = MakeRandomProblem(11, 2, 5);
+  fixture->problem.candidates = CandidateSpace();
+  EXPECT_FALSE(SolveKAware(fixture->problem, std::nullopt).ok());
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "advisor/config_enumeration.h"
-#include "core/unconstrained_optimizer.h"
+#include "core/k_aware_graph.h"
 #include "cost/what_if.h"
 #include "workload/standard_workloads.h"
 
@@ -124,7 +124,7 @@ TEST_F(OnlineTunerTest, OfflineAdvisorWithForesightWinsOnW1) {
   problem.what_if = &what_if;
   problem.candidates = configs_;
   problem.initial = Configuration::Empty();
-  auto offline = SolveUnconstrained(problem);
+  auto offline = SolveKAware(problem, std::nullopt);
   ASSERT_TRUE(offline.ok());
   EXPECT_LT(offline->total_cost, tuner.stats().total_cost());
 }

@@ -6,7 +6,6 @@
 
 #include "core/brute_force.h"
 #include "core/k_aware_graph.h"
-#include "core/unconstrained_optimizer.h"
 #include "test_util.h"
 
 namespace cdpd {
@@ -21,7 +20,7 @@ TEST(PathRankerTest, FirstPathIsTheShortest) {
   PathRanker ranker(*graph);
   auto first = ranker.Next();
   ASSERT_TRUE(first.has_value());
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
   EXPECT_NEAR(first->cost, unconstrained->total_cost, 1e-6);
 }
@@ -83,7 +82,7 @@ TEST(SolveByRankingTest, MatchesKAwareOptimum) {
 
 TEST(SolveByRankingTest, FirstPathWinsWhenUnconstrainedFitsK) {
   auto fixture = MakeRandomProblem(98, 5, 12);
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
   const int64_t l = CountChanges(fixture->problem, unconstrained->configs);
   SolveStats stats;

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/unconstrained_optimizer.h"
+#include "core/k_aware_graph.h"
 #include "test_util.h"
 
 namespace cdpd {
@@ -62,7 +62,7 @@ TEST_F(SequenceGraphTest, ShortestPathMatchesDpOptimizer) {
   auto graph = SequenceGraph::Build(fixture_->problem);
   ASSERT_TRUE(graph.ok());
   const DagShortestPaths paths = ComputeShortestPaths(*graph);
-  auto schedule = SolveUnconstrained(fixture_->problem);
+  auto schedule = SolveKAware(fixture_->problem, std::nullopt);
   ASSERT_TRUE(schedule.ok());
   EXPECT_NEAR(paths.dist[static_cast<size_t>(graph->destination())],
               schedule->total_cost, 1e-6);

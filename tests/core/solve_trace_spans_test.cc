@@ -82,7 +82,7 @@ TEST(SolveTraceSpansTest, PhaseSpansCarryTheirCounts) {
                                std::nullopt},
                               kStages),
                   "unconstrained.dp"),
-            static_cast<int64_t>(kStages));
+            static_cast<int64_t>(kStages - 1));
   EXPECT_EQ(ArgOf(TracedSolve({"greedy-seq", OptimizerMethod::kGreedySeq, 2},
                               kStages),
                   "greedyseq.grow"),

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "core/k_aware_graph.h"
-#include "core/unconstrained_optimizer.h"
 #include "core/validator.h"
 #include "test_util.h"
 #include "workload/standard_workloads.h"
@@ -69,7 +68,7 @@ TEST(SolverTest, NulloptKSolvesUnconstrained) {
     options.method = method;
     auto result = Solve(fixture->problem, options);
     ASSERT_TRUE(result.ok()) << OptimizerMethodToString(method);
-    auto reference = SolveUnconstrained(fixture->problem);
+    auto reference = SolveKAware(fixture->problem, std::nullopt);
     ASSERT_TRUE(reference.ok());
     EXPECT_NEAR(result->schedule.total_cost, reference->total_cost, 1e-9)
         << OptimizerMethodToString(method);

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/unconstrained_optimizer.h"
+#include "core/k_aware_graph.h"
 #include "test_util.h"
 
 namespace cdpd {
@@ -14,7 +14,7 @@ class ValidatorTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fixture_ = MakeRandomProblem(130, 4, 10);
-    schedule_ = SolveUnconstrained(fixture_->problem).value();
+    schedule_ = SolveKAware(fixture_->problem, std::nullopt).value();
   }
   std::unique_ptr<testing_util::ProblemFixture> fixture_;
   DesignSchedule schedule_;

@@ -9,7 +9,6 @@
 #include "core/design_merging.h"
 #include "core/k_aware_graph.h"
 #include "core/path_ranking.h"
-#include "core/unconstrained_optimizer.h"
 #include "engine/database.h"
 #include "test_util.h"
 #include "workload/standard_workloads.h"
@@ -106,7 +105,7 @@ TEST(BTreeEdgeCases, EraseEverythingThenReuse) {
 
 TEST(OptimizerEdgeCases, SingleSegmentProblemAllSolversAgree) {
   auto fixture = MakeRandomProblem(140, 1, 25);
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
   auto k0 = SolveKAware(fixture->problem, 0);
   auto ranked = SolveByRanking(fixture->problem, 0);
   ASSERT_TRUE(unconstrained.ok());
@@ -119,7 +118,7 @@ TEST(OptimizerEdgeCases, SingleSegmentProblemAllSolversAgree) {
 TEST(OptimizerEdgeCases, KFarLargerThanSegments) {
   auto fixture = MakeRandomProblem(141, 3, 10);
   auto huge_k = SolveKAware(fixture->problem, 1'000);
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
   ASSERT_TRUE(huge_k.ok());
   ASSERT_TRUE(unconstrained.ok());
   EXPECT_NEAR(huge_k->total_cost, unconstrained->total_cost, 1e-9);

@@ -16,7 +16,6 @@
 #include "core/k_aware_graph.h"
 #include "core/relax_stage.h"
 #include "core/solver.h"
-#include "core/unconstrained_optimizer.h"
 #include "core/validator.h"
 #include "test_util.h"
 
@@ -161,18 +160,21 @@ TEST(LatticePropertiesTest, SpaceBoundAndPrunedSpacesMatchScanOracle) {
                 ScanOracleCost(full->problem, 3), 3);
 }
 
-TEST(LatticePropertiesTest, SolveUnconstrainedMatchesScanOracle) {
+TEST(LatticePropertiesTest, UnconstrainedMatchesScanOracle) {
   auto fixture = MakeRandomProblem(72, /*num_segments=*/40, /*block_size=*/8,
                                    kAllSubsets);
   for (bool final_empty : {false, true}) {
     fixture->problem.final_config.reset();
     if (final_empty) fixture->problem.final_config = Configuration::Empty();
     SolveStats stats;
-    auto schedule = SolveUnconstrained(fixture->problem, &stats);
+    auto schedule = SolveKAware(fixture->problem, std::nullopt, &stats);
     ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
     ExpectOptimal(fixture->problem, *schedule,
                   ScanOracleCost(fixture->problem, -1), -1);
     EXPECT_EQ(stats.nodes_expanded, 40 * 64);
+    // One layer per relaxed stage: 64 stay updates, then the lattice's
+    // 6 * 2^6 per-bit updates and 64 gathered comparisons.
+    EXPECT_EQ(stats.relaxations, 39 * (2 * 64 + 6 * (1 << 6)));
   }
 }
 

@@ -15,7 +15,6 @@
 #include "core/hybrid_optimizer.h"
 #include "core/k_aware_graph.h"
 #include "core/path_ranking.h"
-#include "core/unconstrained_optimizer.h"
 #include "core/validator.h"
 #include "test_util.h"
 
@@ -61,7 +60,7 @@ TEST_P(OptimizerAgreementTest, HeuristicsAreFeasibleAndDominated) {
   auto fixture =
       MakeRandomProblem(seed, segments, /*block_size=*/8, max_per_config);
 
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
 
   GreedySeqOptions greedy_options;
@@ -95,7 +94,7 @@ TEST_P(OptimizerAgreementTest, OptimalCostIsMonotoneInK) {
   const auto [seed, segments, max_per_config] = GetParam();
   auto fixture =
       MakeRandomProblem(seed, segments, /*block_size=*/8, max_per_config);
-  auto unconstrained = SolveUnconstrained(fixture->problem);
+  auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
 
   double previous = std::numeric_limits<double>::infinity();
