@@ -13,15 +13,25 @@
 // and reports their total wall time and the schema-v3
 // statements_per_sec = solves x n / wall column bench_compare gates
 // on.
+//
+// A last case takes the shape advisor_server re-solves on every
+// RECOMMEND after a slide of a 10^6-statement window (the perfbench
+// slide_1m workload): 10k stages of 100 W1 statements, the paper's 7
+// one-index configurations, k = 2. Each of its rounds is one Solve
+// plus the ValidateSchedule pass the service runs on the answer, so
+// the per-stage work around the DP (precompute, schedule build,
+// validation) is timed with it.
 
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/stopwatch.h"
 #include "core/solver.h"
+#include "core/validator.h"
 #include "cost/what_if.h"
 #include "workload/standard_workloads.h"
 
@@ -131,6 +141,56 @@ void Run(bench_util::BenchReport* report) {
                                           : "ok");
     }
   }
+
+  PrintHeader("slide_1m re-solve: 10k stages x 100 statements, m = 7, "
+              "k = 2, Solve + ValidateSchedule");
+  std::printf("%12s %4s %8s %6s %12s %14s\n", "n", "m", "stages", "rounds",
+              "wall(s)", "stmts/sec");
+  constexpr size_t kWindow = 1'000'000;
+  constexpr int kRounds = 10;
+  WorkloadGenerator gen(schema, kPaperDomain, kSeed);
+  const Workload workload =
+      MakeScaledPaperWorkload("W1", (kWindow + 29) / 30, &gen).value();
+  const std::span<const BoundStatement> window(workload.statements.data(),
+                                               kWindow);
+  WhatIfEngine what_if(model.get(), window, SegmentFixed(kWindow, 100));
+  ConfigEnumOptions enum_options;
+  enum_options.max_indexes_per_config = 1;
+  enum_options.num_rows = model->num_rows();
+  DesignProblem problem;
+  problem.what_if = &what_if;
+  problem.candidates =
+      EnumerateConfigurations(MakePaperCandidateIndexes(schema), enum_options)
+          .value();
+  problem.initial = Configuration::Empty();
+  SolveOptions options;
+  options.method = OptimizerMethod::kOptimal;
+  options.k = 2;
+  options.num_threads = threads;
+  options.pool = pool.get();
+  AttachObservability(&options);
+  SolveStats stats;
+  Status failure = Status::OK();
+  Stopwatch watch;
+  for (int round = 0; round < kRounds && failure.ok(); ++round) {
+    auto result = Solve(problem, options);
+    if (!result.ok()) {
+      failure = result.status();
+      break;
+    }
+    failure = ValidateSchedule(problem, result->schedule, options.k);
+    stats.Accumulate(result->stats);
+  }
+  const double wall = watch.ElapsedSeconds();
+  if (!failure.ok()) {
+    std::printf("slide_1m re-solve failed: %s\n", failure.ToString().c_str());
+    return;
+  }
+  report->AddCase("slide_1m_m7_k2", wall, stats,
+                  static_cast<int64_t>(kWindow) * kRounds);
+  std::printf("%12zu %4zu %8zu %6d %12.3f %14.0f\n", kWindow,
+              problem.candidates.size(), what_if.num_segments(), kRounds,
+              wall, static_cast<double>(kWindow) * kRounds / wall);
 }
 
 }  // namespace

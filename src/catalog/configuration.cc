@@ -6,28 +6,31 @@
 
 namespace cdpd {
 
-Configuration::Configuration(std::vector<IndexDef> indexes)
-    : indexes_(std::move(indexes)) {
-  std::sort(indexes_.begin(), indexes_.end());
-  indexes_.erase(std::unique(indexes_.begin(), indexes_.end()),
-                 indexes_.end());
+Configuration::Configuration(std::vector<IndexDef> indexes) {
+  std::sort(indexes.begin(), indexes.end());
+  indexes.erase(std::unique(indexes.begin(), indexes.end()), indexes.end());
+  if (!indexes.empty()) {
+    indexes_ =
+        std::make_shared<const std::vector<IndexDef>>(std::move(indexes));
+  }
 }
 
 bool Configuration::Contains(const IndexDef& def) const {
-  return std::binary_search(indexes_.begin(), indexes_.end(), def);
+  return std::binary_search(indexes().begin(), indexes().end(), def);
 }
 
 Configuration Configuration::With(const IndexDef& def) const {
   if (Contains(def)) return *this;
-  std::vector<IndexDef> indexes = indexes_;
+  std::vector<IndexDef> indexes = this->indexes();
   indexes.push_back(def);
   return Configuration(std::move(indexes));
 }
 
 Configuration Configuration::Without(const IndexDef& def) const {
+  if (!Contains(def)) return *this;
   std::vector<IndexDef> indexes;
-  indexes.reserve(indexes_.size());
-  for (const IndexDef& index : indexes_) {
+  indexes.reserve(this->indexes().size());
+  for (const IndexDef& index : this->indexes()) {
     if (!(index == def)) indexes.push_back(index);
   }
   return Configuration(std::move(indexes));
@@ -35,7 +38,7 @@ Configuration Configuration::Without(const IndexDef& def) const {
 
 int64_t Configuration::SizePages(int64_t num_rows) const {
   int64_t total = 0;
-  for (const IndexDef& index : indexes_) {
+  for (const IndexDef& index : indexes()) {
     total += index.SizePages(num_rows);
   }
   return total;
@@ -43,8 +46,8 @@ int64_t Configuration::SizePages(int64_t num_rows) const {
 
 std::string Configuration::ToString(const Schema& schema) const {
   std::vector<std::string> parts;
-  parts.reserve(indexes_.size());
-  for (const IndexDef& index : indexes_) {
+  parts.reserve(indexes().size());
+  for (const IndexDef& index : indexes()) {
     parts.push_back(index.ToString(schema));
   }
   return "{" + Join(parts, ", ") + "}";

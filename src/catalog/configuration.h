@@ -2,6 +2,7 @@
 #define CDPD_CATALOG_CONFIGURATION_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,13 @@ namespace cdpd {
 /// ordering and hashing are well defined — the design algorithms
 /// compare configurations constantly (C_{i-1} != C_i is what the change
 /// constraint counts).
+///
+/// The sorted index list lives in shared immutable storage (null for
+/// the empty configuration), so a copy is a reference-count bump: a
+/// schedule of n stages holds n copies of a handful of candidates
+/// without n allocations, and two copies of one candidate compare
+/// equal without walking their indexes. Copies and destructions are
+/// safe from any number of threads.
 class Configuration {
  public:
   /// The empty configuration (no auxiliary structures).
@@ -27,9 +35,13 @@ class Configuration {
 
   static Configuration Empty() { return Configuration(); }
 
-  bool empty() const { return indexes_.empty(); }
-  int32_t num_indexes() const { return static_cast<int32_t>(indexes_.size()); }
-  const std::vector<IndexDef>& indexes() const { return indexes_; }
+  bool empty() const { return indexes_ == nullptr; }
+  int32_t num_indexes() const {
+    return static_cast<int32_t>(indexes().size());
+  }
+  const std::vector<IndexDef>& indexes() const {
+    return indexes_ != nullptr ? *indexes_ : kNoIndexes;
+  }
 
   bool Contains(const IndexDef& def) const;
 
@@ -46,13 +58,19 @@ class Configuration {
   /// "{}" or "{I(a), I(c,d)}" rendered against `schema`.
   std::string ToString(const Schema& schema) const;
 
-  bool operator==(const Configuration& other) const = default;
+  bool operator==(const Configuration& other) const {
+    return indexes_ == other.indexes_ || indexes() == other.indexes();
+  }
   bool operator<(const Configuration& other) const {
-    return indexes_ < other.indexes_;
+    return indexes() < other.indexes();
   }
 
  private:
-  std::vector<IndexDef> indexes_;  // Sorted, duplicate-free.
+  inline static const std::vector<IndexDef> kNoIndexes;
+
+  // Sorted, duplicate-free, never empty; null for the empty
+  // configuration. Shared between copies and never mutated.
+  std::shared_ptr<const std::vector<IndexDef>> indexes_;
 };
 
 /// Hash functor so Configuration can key unordered containers.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
+#include <memory>
+#include <new>
 
 #include "common/math_util.h"
 #include "common/stopwatch.h"
@@ -78,6 +80,7 @@ struct DpNames {
   const char* memory_limit;
   const char* precompute;
   const char* dp;
+  const char* path;
   const char* deadline;
   const char* end;
   MemComponent table;
@@ -85,13 +88,18 @@ struct DpNames {
 
 constexpr DpNames kKAwareNames = {
     "kaware.start",    "kaware.memory_limit", "kaware.precompute",
-    "kaware.dp",       "kaware.deadline",     "kaware.end",
-    MemComponent::kKAwareTable};
+    "kaware.dp",       "kaware.path",         "kaware.deadline",
+    "kaware.end",      MemComponent::kKAwareTable};
 constexpr DpNames kUnconstrainedNames = {
-    "unconstrained.start", "unconstrained.memory_limit",
+    "unconstrained.start",      "unconstrained.memory_limit",
     "unconstrained.precompute", "unconstrained.dp",
-    "unconstrained.deadline", "unconstrained.end",
-    MemComponent::kSequenceGraph};
+    "unconstrained.path",       "unconstrained.deadline",
+    "unconstrained.end",        MemComponent::kSequenceGraph};
+
+/// Frees a table allocated with ::operator new.
+struct OperatorDelete {
+  void operator()(void* table) const { ::operator delete(table); }
+};
 
 }  // namespace
 
@@ -211,8 +219,13 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
   // dist[l * m + c]: cheapest way to execute S_1..S_i with
   // C_i = configs[c] using at most l changes.
   std::vector<double> dist(layers * m, kInf);
-  // parent[(stage * layers + l) * m + c] for path reconstruction.
-  std::vector<DpParent> parent(n * layers * m);
+  // parent[(stage * layers + l) * m + c] for path reconstruction. The
+  // kernel writes a cell before any back-pointer can lead to it, and
+  // the backtrack follows only those, so the table is allocated without
+  // a value-initializing pass.
+  const std::unique_ptr<DpParent[], OperatorDelete> parent(
+      static_cast<DpParent*>(
+          ::operator new(n * layers * m * sizeof(DpParent))));
 
   // Without a bound no change is counted, the initial build included.
   const bool initial_counts = k.has_value() && problem.count_initial_change;
@@ -294,20 +307,26 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
     return frozen;
   };
 
-  CDPD_TRACE_SPAN(tracer, names.dp, "solver", static_cast<int64_t>(n - 1));
-  for (size_t stage = 1; stage < n; ++stage) {
-    if (BudgetExpired(budget)) {
-      CDPD_LOG(logger, LogLevel::kWarn, names.deadline,
-               LogField("stage", stage), LogField("stages", n));
-      CDPD_ASSIGN_OR_RETURN(DesignSchedule frozen, freeze_prefix(stage - 1));
-      return finish(std::move(frozen));
+  {
+    CDPD_TRACE_SPAN(tracer, names.dp, "solver", static_cast<int64_t>(n - 1));
+    for (size_t stage = 1; stage < n; ++stage) {
+      if (BudgetExpired(budget)) {
+        CDPD_LOG(logger, LogLevel::kWarn, names.deadline,
+                 LogField("stage", stage), LogField("stages", n));
+        CDPD_ASSIGN_OR_RETURN(DesignSchedule frozen,
+                              freeze_prefix(stage - 1));
+        return finish(std::move(frozen));
+      }
+      ReportProgress(progress, names.dp,
+                     static_cast<double>(stage) / static_cast<double>(n));
+      kernel.RelaxStage(stage, dist.data(), next.data(),
+                        parent.get() + stage * layers * m);
+      std::swap(dist, next);
     }
-    ReportProgress(progress, names.dp,
-                   static_cast<double>(stage) / static_cast<double>(n));
-    kernel.RelaxStage(stage, dist.data(), next.data(),
-                      parent.data() + stage * layers * m);
-    std::swap(dist, next);
   }
+
+  // The best final cell, its backtrack, the schedule and its price.
+  CDPD_TRACE_SPAN(tracer, names.path, "solver", static_cast<int64_t>(n));
 
   double best = kInf;
   size_t best_layer = 0;

@@ -17,6 +17,91 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// arithmetic below far from overflow.
 constexpr size_t kMaxLatticeIndexes = 32;
 
+/// Destinations the scan path relaxes together: one block of a
+/// CostMatrix::ChangeTrans row.
+constexpr size_t kLanes = CostMatrix::kChangeRowWidth;
+
+/// The cheapest incoming edge of each destination in one block. The
+/// predecessor is held as a double (exact for any ConfigId) so a lane's
+/// whole state stays in floating-point registers through the sweep.
+struct ScanLanes {
+  double best[kLanes];
+  double from[kLanes];  // The change edge's predecessor; -1: stay edge.
+};
+
+/// Relaxes the destinations [block, block + kLanes) of one layer of an
+/// m-configuration space: each starts on its stay edge from `stay`
+/// (the layer's own values; the padding lanes past m on +inf) and takes
+/// a change edge from `prev` (the source layer's values, null when the
+/// layer has none) only when it is strictly cheaper, predecessors
+/// ascending — ties keep the stay edge, then the lowest p. ChangeTrans
+/// holds +inf on its diagonal and in its padding, so p == c never
+/// wins, and neither does an unreachable predecessor (inf + finite is
+/// inf).
+///
+/// The lane loops carry an unroll pragma because GCC unrolls them
+/// completely, keeping the lanes in registers, only at -O3 by itself.
+inline ScanLanes ScanBlock(const CostMatrix& matrix, size_t m, size_t block,
+                           const double* stay, const double* prev) {
+  ScanLanes lanes;
+#pragma GCC unroll kLanes
+  for (size_t lane = 0; lane < kLanes; ++lane) {
+    lanes.best[lane] = block + lane < m ? stay[block + lane] : kInf;
+    lanes.from[lane] = -1;
+  }
+  if (prev == nullptr) return lanes;
+  for (size_t p = 0; p < m; ++p) {
+    const double value = prev[p];
+    const auto from = static_cast<double>(p);
+    const double* row = matrix.ChangeTrans(p) + block;
+#pragma GCC unroll kLanes
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      const double cost = value + row[lane];
+      const bool better = cost < lanes.best[lane];
+      lanes.best[lane] = better ? cost : lanes.best[lane];
+      lanes.from[lane] = better ? from : lanes.from[lane];
+    }
+  }
+  return lanes;
+}
+
+/// The scan path of RelaxKernel::RelaxStage over an m-configuration
+/// space, writing back-pointers when kParents; returns the number of
+/// reachable cells it wrote.
+template <bool kParents>
+int64_t ScanStage(const CostMatrix& matrix, size_t m, size_t layers,
+                  bool count_changes, size_t stage, const double* dist,
+                  double* next, DpParent* parent) {
+  int64_t reachable = 0;
+  for (size_t l = 0; l < layers; ++l) {
+    // Layer `l` takes change edges from layer l - 1 (k-aware) or from
+    // itself (unconstrained); k-aware layer 0 has none.
+    const size_t src = count_changes ? l - 1 : l;
+    const double* prev =
+        !count_changes || l > 0 ? dist + src * m : nullptr;
+    for (size_t block = 0; block < m; block += kLanes) {
+      const ScanLanes lanes = ScanBlock(matrix, m, block, dist + l * m, prev);
+      // Settled without a branch: an unreachable lane stays +inf
+      // (inf + EXEC), and its back-pointer, written like any other, is
+      // never followed.
+      const size_t width = std::min(kLanes, m - block);
+      for (size_t lane = 0; lane < width; ++lane) {
+        const size_t c = block + lane;
+        next[l * m + c] = lanes.best[lane] + matrix.Exec(stage, c);
+        reachable += lanes.best[lane] < kInf ? 1 : 0;
+        if constexpr (kParents) {
+          parent[l * m + c] =
+              lanes.from[lane] < 0
+                  ? DpParent{static_cast<int32_t>(l), static_cast<int32_t>(c)}
+                  : DpParent{static_cast<int32_t>(src),
+                             static_cast<int32_t>(lanes.from[lane])};
+        }
+      }
+    }
+  }
+  return reachable;
+}
+
 /// Writes one settled cell: its cheapest incoming value plus EXEC, and
 /// its back-pointer when reachable.
 inline void Settle(double best, DpParent best_parent, double exec, double* out,
@@ -67,6 +152,18 @@ void RelaxKernel::RelaxStage(size_t stage, const double* dist, double* next,
                              DpParent* parent) {
   const size_t m = space_.size();
   const size_t change_layers = count_changes_ ? layers_ - 1 : layers_;
+
+  if (path_ == RelaxPath::kScan) {
+    reachable_ += parent != nullptr
+                      ? ScanStage<true>(matrix_, m, layers_, count_changes_,
+                                        stage, dist, next, parent)
+                      : ScanStage<false>(matrix_, m, layers_, count_changes_,
+                                         stage, dist, next, nullptr);
+    relaxations_ += static_cast<int64_t>(layers_ * m + change_layers * m *
+                                                           (m - 1));
+    return;
+  }
+
   // Layer `l` takes change edges from layer l - 1 (k-aware) or from
   // itself (unconstrained); k-aware layer 0 has none.
   const auto has_change = [&](size_t l) { return !count_changes_ || l > 0; };
@@ -74,49 +171,6 @@ void RelaxKernel::RelaxStage(size_t stage, const double* dist, double* next,
   const auto parent_at = [&](size_t cell) {
     return parent != nullptr ? parent + cell : nullptr;
   };
-
-  if (path_ == RelaxPath::kScan) {
-    for (size_t c = 0; c < m; ++c) {
-      // One transposed TRANS row per destination, reused across every
-      // layer: trans_into[p] == Trans(p, c), a unit-stride read.
-      const double* trans_into = matrix_.TransInto(c);
-      const double exec = matrix_.Exec(stage, c);
-      for (size_t l = 0; l < layers_; ++l) {
-        const size_t cell = l * m + c;
-        double best = dist[cell];
-        DpParent best_parent{static_cast<int32_t>(l), static_cast<int32_t>(c)};
-        if (has_change(l)) {
-          // The p == c exclusion becomes two ascending ranges, so the
-          // argmin tie-break is the lowest p. Unreachable predecessors
-          // need no guard: inf + finite never wins `cost < best`.
-          const size_t src = source(l);
-          const double* prev = dist + src * m;
-          for (size_t p = 0; p < c; ++p) {
-            const double cost = prev[p] + trans_into[p];
-            if (cost < best) {
-              best = cost;
-              best_parent = DpParent{static_cast<int32_t>(src),
-                                     static_cast<int32_t>(p)};
-            }
-          }
-          for (size_t p = c + 1; p < m; ++p) {
-            const double cost = prev[p] + trans_into[p];
-            if (cost < best) {
-              best = cost;
-              best_parent = DpParent{static_cast<int32_t>(src),
-                                     static_cast<int32_t>(p)};
-            }
-          }
-        }
-        Settle(best, best_parent, exec, next + cell, parent_at(cell),
-               &reachable_);
-      }
-    }
-    relaxations_ += static_cast<int64_t>(layers_ * m + change_layers * m *
-                                                           (m - 1));
-    return;
-  }
-
   const std::vector<uint64_t>& masks = space_.masks();
   for (size_t l = 0; l < layers_; ++l) {
     if (has_change(l)) Transform(dist + source(l) * m);

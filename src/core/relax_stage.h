@@ -62,7 +62,8 @@ class RelaxKernel {
   /// Relaxes stage `stage` (>= 1) from the previous stage's `dist`
   /// into `next`, both layers x m ([l * m + c]). Unreachable cells are
   /// +inf in and out. `parent` (optional, layers x m) receives each
-  /// reachable cell's back-pointer.
+  /// reachable cell's back-pointer; the scan path also writes the
+  /// entries of unreachable cells, which no backtrack follows.
   void RelaxStage(size_t stage, const double* dist, double* next,
                   DpParent* parent);
 

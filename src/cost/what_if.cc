@@ -1,8 +1,10 @@
 #include "cost/what_if.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -78,12 +80,12 @@ void CostMatrix::Finalize() {
     double* next = exec_prefix_.data() + (s + 1) * m;
     for (size_t c = 0; c < m; ++c) next[c] = prefix[c] + row[c];
   }
-  trans_transposed_.assign(m * m, 0.0);
+  const size_t stride = ChangeStride(m);
+  change_trans_.assign(m * stride, std::numeric_limits<double>::infinity());
   for (size_t from = 0; from < m; ++from) {
-    const double* row = trans_.data() + from * m;
-    for (size_t to = 0; to < m; ++to) {
-      trans_transposed_[to * m + from] = row[to];
-    }
+    double* row = change_trans_.data() + from * stride;
+    std::copy_n(trans_.data() + from * m, m, row);
+    row[from] = std::numeric_limits<double>::infinity();
   }
 }
 
@@ -215,6 +217,11 @@ std::span<const double> ScheduleColumns::For(const Configuration& config) {
 
 namespace {
 
+/// EXEC rows one precompute task fills: enough cells that a task
+/// outweighs its dispatch, few enough that a 10k-stage window still
+/// spreads over a pool.
+constexpr size_t kExecRowsPerTask = 512;
+
 /// Lowest-cell-index-wins record of a non-finite cost, so the error a
 /// parallel fill reports is the one the serial fill would hit first.
 class NonFiniteCell {
@@ -253,31 +260,54 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
            LogField("exec_cells", n * m), LogField("trans_cells", m * m));
   NonFiniteCell bad_exec;
   NonFiniteCell bad_trans;
-  // EXEC, one configuration at a time: price its shape-cost column,
-  // then its n cells as profile dot products. Each configuration
-  // writes only its own cells and probes only its own (shape, config)
-  // pairs, so values and costings are identical for any thread count.
-  std::atomic<size_t> configs_done{0};
+  // EXEC in two passes. First every configuration's shape-cost column
+  // (one costing per (shape, configuration) pair), stored shape-major:
+  // shape_costs[shape * m + config]. Then the cells segment-major, each
+  // task owning a contiguous range of rows, so no two threads write one
+  // cache line; a cell sums its segment's profile in SegmentCost's
+  // order. Values and costings are identical for any thread count.
+  std::atomic<size_t> tasks_done{0};
   bool complete = false;
   {
     CDPD_TRACE_SPAN(tracer, "whatif.exec_matrix", "whatif",
                     static_cast<int64_t>(n * m));
+    const size_t shapes = workload_profile_.size();
+    std::vector<double> shape_costs(shapes * m);
     complete = ParallelFor(
         pool, 0, m,
         [&](size_t config) {
-          std::vector<double> column(workload_profile_.size());
+          std::vector<double> column(shapes);
           FillColumn(candidates[config], column);
-          for (size_t segment = 0; segment < n; ++segment) {
-            const double cost = SegmentCost(segment, column);
-            if (!std::isfinite(cost)) bad_exec.Record(segment * m + config);
-            matrix.MutableExec(segment, config) = cost;
+          for (size_t shape = 0; shape < shapes; ++shape) {
+            shape_costs[shape * m + config] = column[shape];
           }
-          const size_t done =
-              configs_done.fetch_add(1, std::memory_order_relaxed) + 1;
-          ReportProgress(progress, "whatif.precompute",
-                         static_cast<double>(done) / static_cast<double>(m));
         },
         budget);
+    const size_t tasks = (n + kExecRowsPerTask - 1) / kExecRowsPerTask;
+    const auto fill_rows = [&](size_t task) {
+      const size_t end = std::min(n, (task + 1) * kExecRowsPerTask);
+      for (size_t segment = task * kExecRowsPerTask; segment < end;
+           ++segment) {
+        double* row = matrix.MutableExecRow(segment);
+        for (const ProfileEntry& entry : Profile(segment)) {
+          const auto count = static_cast<double>(entry.count);
+          const double* costs = shape_costs.data() + entry.shape * m;
+          for (size_t config = 0; config < m; ++config) {
+            row[config] += count * costs[config];
+          }
+        }
+        for (size_t config = 0; config < m; ++config) {
+          if (!std::isfinite(row[config])) {
+            bad_exec.Record(segment * m + config);
+          }
+        }
+      }
+      const size_t done =
+          tasks_done.fetch_add(1, std::memory_order_relaxed) + 1;
+      ReportProgress(progress, "whatif.precompute",
+                     static_cast<double>(done) / static_cast<double>(tasks));
+    };
+    if (complete) complete = ParallelFor(pool, 0, tasks, fill_rows, budget);
   }
   // TRANS over all candidate pairs (pure model arithmetic).
   {

@@ -43,9 +43,9 @@ struct WorkloadShape {
 ///
 /// The tables are stored structure-of-arrays: the EXEC matrix row-major
 /// by segment, a per-config prefix-sum table for O(1) range sums, and
-/// the TRANS matrix in both orientations so a relaxation sweep over
-/// predecessors reads one contiguous row (TransInto) instead of a
-/// stride-m column.
+/// the TRANS matrix twice: as written, and as the change-edge table the
+/// relaxation kernel's scan path sweeps (ChangeTrans), whose rows are
+/// padded to a fixed width so the sweep runs in fixed-width loops.
 class CostMatrix {
  public:
   CostMatrix() = default;
@@ -55,17 +55,28 @@ class CostMatrix {
         exec_(num_segments * num_configs, 0.0),
         trans_(num_configs * num_configs, 0.0) {}
 
+  /// ChangeTrans() rows hold a multiple of this many doubles.
+  static constexpr size_t kChangeRowWidth = 8;
+
   size_t num_segments() const { return num_segments_; }
   size_t num_configs() const { return num_configs_; }
 
-  /// Bytes the EXEC + prefix + TRANS (both orientations) tables of an
+  /// Row stride of ChangeTrans(): num_configs() rounded up to a
+  /// multiple of kChangeRowWidth.
+  static size_t ChangeStride(size_t num_configs) {
+    return (num_configs + kChangeRowWidth - 1) / kChangeRowWidth *
+           kChangeRowWidth;
+  }
+
+  /// Bytes the EXEC + prefix + TRANS + change-edge tables of an
   /// (n x m) matrix occupy — what a solver charges to
   /// MemComponent::kCostMatrix before the precompute.
   static int64_t EstimateBytes(size_t num_segments, size_t num_configs) {
     return static_cast<int64_t>(
-        (num_segments * num_configs +              // EXEC
-         (num_segments + 1) * num_configs +        // prefix sums
-         2 * num_configs * num_configs) *          // TRANS + transposed
+        (num_segments * num_configs +                 // EXEC
+         (num_segments + 1) * num_configs +           // prefix sums
+         num_configs * num_configs +                  // TRANS
+         num_configs * ChangeStride(num_configs)) *   // change edges
         sizeof(double));
   }
 
@@ -88,16 +99,23 @@ class CostMatrix {
   double Trans(size_t from, size_t to) const {
     return trans_[from * num_configs_ + to];
   }
-  /// Contiguous row of transition costs *into* `to`: TransInto(to)[p]
-  /// == Trans(p, to). This is the orientation the relaxation inner
-  /// loops sweep (for a fixed destination, scan all predecessors), so
-  /// the scan is a unit-stride read instead of a stride-m gather.
-  const double* TransInto(size_t to) const {
-    return trans_transposed_.data() + to * num_configs_;
+  /// The change edges out of `from`, one per destination:
+  /// ChangeTrans(from)[to] == Trans(from, to) for to != from, and +inf
+  /// at to == from (a configuration has no change edge to itself) and
+  /// in the row's ChangeStride(m) - m padding cells. A relaxation sweep
+  /// adds one predecessor's value to this whole row and keeps the
+  /// strict minimum per destination, so neither the diagonal nor the
+  /// padding can ever win.
+  const double* ChangeTrans(size_t from) const {
+    return change_trans_.data() + from * ChangeStride(num_configs_);
   }
 
   double& MutableExec(size_t segment, size_t config) {
     return exec_[segment * num_configs_ + config];
+  }
+  /// Segment `segment`'s m EXEC cells, one per ConfigId.
+  double* MutableExecRow(size_t segment) {
+    return exec_.data() + segment * num_configs_;
   }
   double& MutableTrans(size_t from, size_t to) {
     return trans_[from * num_configs_ + to];
@@ -117,8 +135,8 @@ class CostMatrix {
   }
 
   /// Builds the derived SoA tables (per-config EXEC prefix sums and
-  /// the transposed TRANS matrix) from the raw cells. Must be called
-  /// after the fill and before ExecRange/TransInto; PrecomputeCostMatrix
+  /// the change-edge table) from the raw cells. Must be called after
+  /// the fill and before ExecRange/ChangeTrans; PrecomputeCostMatrix
   /// does this, so only hand-built matrices (tests) call it directly.
   void Finalize();
 
@@ -138,7 +156,8 @@ class CostMatrix {
   // Derived by Finalize():
   // exec_prefix_[(s) * m + c] = sum of exec over segments [0, s).
   std::vector<double> exec_prefix_;
-  std::vector<double> trans_transposed_;  // [to * num_configs + from]
+  // [from * ChangeStride(num_configs) + to], see ChangeTrans().
+  std::vector<double> change_trans_;
   std::vector<double> build_;  // [universe index]
   std::vector<double> drop_;   // [universe index]
 };
@@ -225,18 +244,20 @@ class WhatIfEngine {
 
   /// Fills the dense EXEC matrix over all (segment, ConfigId) pairs
   /// and the TRANS matrix over all ConfigId pairs of the pinned
-  /// `candidates` space, fanning the configurations out across `pool`
-  /// (serial when pool is null), then finalizes the SoA tables (prefix
-  /// sums, transposed TRANS). This is the single enumeration entry
-  /// point: the solvers never cost materialized Configuration vectors.
+  /// `candidates` space, fanning the work out across `pool` (serial
+  /// when pool is null), then finalizes the SoA tables (prefix sums,
+  /// change-edge table). This is the single enumeration entry point:
+  /// the solvers never cost materialized Configuration vectors.
   ///
-  /// Each configuration's shape-cost column is priced once — every
-  /// (shape, configuration) pair is one costing — and then that
-  /// configuration's n EXEC cells are the profile dot products, so the
-  /// fill is O(|shapes| x m) costings plus O(nnz x m) arithmetic, nnz
-  /// being the total number of per-segment profile entries. Results,
-  /// and costings(), are identical for any thread count, with or
-  /// without `tracer` or `progress`.
+  /// Every configuration's shape-cost column is priced first — every
+  /// (shape, configuration) pair is one costing — and then the EXEC
+  /// cells are filled segment-major, each pool task owning a
+  /// contiguous range of rows: cell (s, c) is SegmentCost(s, c's
+  /// column), summed in the same profile order, so the fill is
+  /// O(|shapes| x m) costings plus O(nnz x m) arithmetic, nnz being the
+  /// total number of per-segment profile entries. Results, and
+  /// costings(), are identical for any thread count, with or without
+  /// `tracer` or `progress`.
   ///
   /// With exact masks (candidates.exact_masks()), the TRANS matrix is
   /// computed additively from per-universe-index build/drop costs via
@@ -254,14 +275,14 @@ class WhatIfEngine {
   /// error is deterministic for any thread count).
   ///
   /// `budget` (optional) makes the fill cooperatively interruptible:
-  /// on expiry the remaining configurations are skipped and the
+  /// on expiry the remaining columns or row ranges are skipped and the
   /// returned matrix has complete() == false. Cancellation is polled
-  /// between configurations, so mid-precompute Cancel() from another
-  /// thread is safe.
+  /// between them, so mid-precompute Cancel() from another thread is
+  /// safe.
   ///
   /// `progress` (optional) receives a "whatif.precompute" update as
-  /// each configuration completes — invoked from worker threads, so
-  /// the callback must be thread-safe (see common/progress.h).
+  /// each range of EXEC rows completes — invoked from worker threads,
+  /// so the callback must be thread-safe (see common/progress.h).
   /// `logger` (optional) records precompute start/end events.
   Result<CostMatrix> PrecomputeCostMatrix(
       const CandidateSpace& candidates, ThreadPool* pool = nullptr,

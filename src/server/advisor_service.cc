@@ -271,6 +271,10 @@ Configuration AdvisorService::initial_config() const {
 Result<IngestAck> AdvisorService::IngestSql(std::string_view sql) {
   CDPD_ASSIGN_OR_RETURN(Workload batch, ReadTrace(options_.schema, sql));
   const size_t accepted = batch.size();
+  // The replaced window, freed after mu_ is released (declared before
+  // the guard, so destroyed after it) but still before the ack: freeing
+  // a 10^6-statement window takes milliseconds no WHATIF should wait.
+  std::shared_ptr<const WindowState> replaced;
   std::lock_guard<std::mutex> lock(mu_);
   if (accepted == 0) {
     // A comment-only batch changes nothing; keep the window (and the
@@ -300,7 +304,7 @@ Result<IngestAck> AdvisorService::IngestSql(std::string_view sql) {
       &model_, std::span<const BoundStatement>(next->statements),
       next->segments);
   next->epoch = window_->epoch + 1;
-  window_ = std::move(next);
+  replaced = std::exchange(window_, std::move(next));
 
   registry_.counter("server.ingested_statements")
       ->Add(static_cast<int64_t>(accepted));
@@ -475,10 +479,12 @@ Result<std::shared_ptr<const RecommendAnswer>> AdvisorService::Recommend(
   answer->epoch = window->epoch;
 
   {
+    // The replaced answer is freed after mu_ is released.
+    std::shared_ptr<const RecommendAnswer> replaced;
     std::lock_guard<std::mutex> lock(mu_);
     resident_.epoch = window->epoch;
     resident_.options_key = key;
-    resident_.answer = answer;
+    replaced = std::exchange(resident_.answer, answer);
     if (request.apply && !answer->schedule.configs.empty()) {
       initial_ = answer->schedule.configs.back();
     }

@@ -1,5 +1,9 @@
 #include "catalog/configuration.h"
 
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace cdpd {
@@ -86,6 +90,99 @@ TEST_F(ConfigurationTest, DiffFromEmptyCreatesEverything) {
   const ConfigurationDelta delta = DiffConfigurations(Configuration(), to);
   EXPECT_EQ(delta.created.size(), 2u);
   EXPECT_TRUE(delta.dropped.empty());
+}
+
+/// Configurations over every subset of {I(a), I(b), I(a,b), I(c)},
+/// each built twice from its own index list, so equal values hold
+/// separate storage.
+std::vector<Configuration> EverySubsetTwice() {
+  const std::vector<IndexDef> pool = {IndexDef({0}), IndexDef({1}),
+                                      IndexDef({0, 1}), IndexDef({2})};
+  std::vector<Configuration> out;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (unsigned subset = 0; subset < (1u << pool.size()); ++subset) {
+      std::vector<IndexDef> indexes;
+      for (size_t i = 0; i < pool.size(); ++i) {
+        if ((subset >> i) & 1u) indexes.push_back(pool[i]);
+      }
+      out.emplace_back(std::move(indexes));
+    }
+  }
+  return out;
+}
+
+TEST_F(ConfigurationTest, CopiesShareTheirIndexStorage) {
+  const Configuration c({a_, ab_});
+  const Configuration copy(c);
+  EXPECT_EQ(&copy.indexes(), &c.indexes());
+  const Configuration rebuilt({ab_, a_});
+  EXPECT_NE(&rebuilt.indexes(), &c.indexes());
+  EXPECT_EQ(rebuilt, c);
+  Configuration moved = copy;
+  const Configuration target = std::move(moved);
+  EXPECT_EQ(&target.indexes(), &c.indexes());
+  // The empty configuration holds no storage, however it was built.
+  EXPECT_TRUE(Configuration(std::vector<IndexDef>{}).empty());
+  EXPECT_EQ(Configuration(std::vector<IndexDef>{}), Configuration());
+  EXPECT_TRUE(Configuration().indexes().empty());
+  EXPECT_EQ(c.Without(a_).Without(ab_), Configuration());
+  EXPECT_TRUE(c.Without(a_).Without(ab_).empty());
+}
+
+TEST_F(ConfigurationTest, ComparisonsAndHashMatchTheIndexLists) {
+  const std::vector<Configuration> configs = EverySubsetTwice();
+  for (const Configuration& x : configs) {
+    for (const Configuration& y : configs) {
+      EXPECT_EQ(x == y, x.indexes() == y.indexes());
+      EXPECT_EQ(x < y, x.indexes() < y.indexes());
+      if (x == y) {
+        EXPECT_EQ(ConfigurationHash{}(x), ConfigurationHash{}(y));
+      }
+    }
+  }
+}
+
+TEST_F(ConfigurationTest, WithAndWithoutLeaveTheSourceUnchanged) {
+  for (const Configuration& source : EverySubsetTwice()) {
+    const std::vector<IndexDef> before = source.indexes();
+    for (const IndexDef& def : {a_, b_, ab_, IndexDef({3})}) {
+      const Configuration grown = source.With(def);
+      const Configuration shrunk = source.Without(def);
+      EXPECT_EQ(source.indexes(), before);
+      EXPECT_TRUE(grown.Contains(def));
+      EXPECT_FALSE(shrunk.Contains(def));
+      EXPECT_EQ(grown.num_indexes(),
+                source.num_indexes() + (source.Contains(def) ? 0 : 1));
+      EXPECT_EQ(shrunk.num_indexes(),
+                source.num_indexes() - (source.Contains(def) ? 1 : 0));
+    }
+  }
+}
+
+TEST_F(ConfigurationTest, CopiesAndDestructionsFromSeveralThreads) {
+  const std::vector<Configuration> shared = EverySubsetTwice();
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(4, 0);
+  for (size_t t = 0; t < mismatches.size(); ++t) {
+    threads.emplace_back([&shared, &mismatches, t] {
+      for (int round = 0; round < 200; ++round) {
+        std::vector<Configuration> copies(shared.begin(), shared.end());
+        for (size_t i = 0; i < copies.size(); ++i) {
+          if (!(copies[i] == shared[i]) ||
+              &copies[i].indexes() != &shared[i].indexes()) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int count : mismatches) EXPECT_EQ(count, 0);
+  const std::vector<Configuration> fresh = EverySubsetTwice();
+  ASSERT_EQ(shared.size(), fresh.size());
+  for (size_t i = 0; i < shared.size(); ++i) {
+    EXPECT_EQ(shared[i].indexes(), fresh[i].indexes());
+  }
 }
 
 }  // namespace

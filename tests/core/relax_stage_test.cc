@@ -1,13 +1,17 @@
-// The DP relaxation kernel: the subset-lattice path against the scan
-// oracle on random stage layers, plus PricePath against
+// The DP relaxation kernel: the scan path against the per-destination
+// loop it replaced (kept here as its oracle), the subset-lattice path
+// against the scan on random stage layers, plus PricePath against
 // EvaluateScheduleCost. Layers cover unreachable predecessors, lattice
 // points no member occupies, universes shrunk by Subset, members that
-// share a mask, and integer costs that tie exactly.
+// share a mask, integer costs that tie exactly and costs a few ulps
+// apart.
 
 #include "core/relax_stage.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -185,6 +189,189 @@ void ExpectLatticeMatchesScan(const CandidateSpace& space,
             static_cast<int64_t>(layers * m + change_layers * m * (m - 1)));
   EXPECT_EQ(lattice.relaxations(),
             static_cast<int64_t>(layers * m + change_layers * ((u << u) + m)));
+}
+
+/// One relaxed stage: the next layers, their back-pointers, and the
+/// number of reachable cells.
+struct RelaxedStage {
+  std::vector<double> next;
+  std::vector<DpParent> parent;
+  int64_t reachable = 0;
+};
+
+/// The scan path as it ran before the fixed-width sweep: per
+/// destination c and layer, the stay edge, then every predecessor
+/// p != c ascending, taken only when strictly cheaper. The oracle of
+/// RelaxKernel's scan path.
+RelaxedStage OracleScan(const CostMatrix& matrix, size_t layers,
+                        bool count_changes, size_t stage,
+                        const std::vector<double>& dist) {
+  const size_t m = matrix.num_configs();
+  RelaxedStage out;
+  out.next.assign(layers * m, kInf);
+  out.parent.assign(layers * m, DpParent{});
+  for (size_t c = 0; c < m; ++c) {
+    const double exec = matrix.Exec(stage, c);
+    for (size_t l = 0; l < layers; ++l) {
+      const size_t cell = l * m + c;
+      double best = dist[cell];
+      DpParent best_parent{static_cast<int32_t>(l), static_cast<int32_t>(c)};
+      if (!count_changes || l > 0) {
+        const size_t src = count_changes ? l - 1 : l;
+        const double* prev = dist.data() + src * m;
+        for (size_t p = 0; p < c; ++p) {
+          const double cost = prev[p] + matrix.Trans(p, c);
+          if (cost < best) {
+            best = cost;
+            best_parent = DpParent{static_cast<int32_t>(src),
+                                   static_cast<int32_t>(p)};
+          }
+        }
+        for (size_t p = c + 1; p < m; ++p) {
+          const double cost = prev[p] + matrix.Trans(p, c);
+          if (cost < best) {
+            best = cost;
+            best_parent = DpParent{static_cast<int32_t>(src),
+                                   static_cast<int32_t>(p)};
+          }
+        }
+      }
+      if (best < kInf) {
+        out.next[cell] = best + exec;
+        out.parent[cell] = best_parent;
+        ++out.reachable;
+      }
+    }
+  }
+  return out;
+}
+
+/// The empty configuration and the first m - 1 one- and two-column
+/// indexes as singletons: a space of any size up to 17.
+CandidateSpace SingletonSpace(size_t m) {
+  std::vector<Configuration> configs = {Configuration::Empty()};
+  for (const IndexDef& def : OneAndTwoColumnIndexes(m - 1)) {
+    configs.push_back(Configuration({def}));
+  }
+  return CandidateSpace(configs);
+}
+
+/// How the scan-oracle inputs draw their costs.
+enum class CostKind {
+  kSpread,   // Uniform over a wide range.
+  kInteger,  // 1..3: many candidate sums tie exactly.
+  kNearTie,  // 100 moved by a few ulps: sums that differ in the last bits.
+};
+
+double DrawCost(CostKind kind, Rng* rng) {
+  switch (kind) {
+    case CostKind::kSpread:
+      return 1000.0 * rng->NextDouble();
+    case CostKind::kInteger:
+      return static_cast<double>(1 + rng->NextBounded(3));
+    case CostKind::kNearTie: {
+      double v = 100.0;
+      const auto steps = static_cast<int>(rng->NextBounded(7)) - 3;
+      for (int i = 0; i < std::abs(steps); ++i) {
+        v = std::nextafter(v, steps > 0 ? kInf : 0.0);
+      }
+      return v;
+    }
+  }
+  return 0.0;
+}
+
+/// A two-stage matrix over m configurations with arbitrary (not
+/// necessarily additive) TRANS cells, which is all the scan reads.
+CostMatrix ScanMatrix(size_t m, CostKind kind, Rng* rng) {
+  CostMatrix matrix(2, m);
+  for (size_t s = 0; s < 2; ++s) {
+    for (size_t c = 0; c < m; ++c) {
+      matrix.MutableExec(s, c) = DrawCost(kind, rng);
+    }
+  }
+  for (size_t from = 0; from < m; ++from) {
+    for (size_t to = 0; to < m; ++to) {
+      matrix.MutableTrans(from, to) = from == to ? 0.0 : DrawCost(kind, rng);
+    }
+  }
+  matrix.Finalize();
+  return matrix;
+}
+
+/// Relaxes stage 1 of `dist` with the kernel's scan path, with and
+/// without back-pointers, and checks it against OracleScan bit for
+/// bit: every value (unreachable cells stay +inf), every reachable
+/// cell's back-pointer, relaxations() and reachable().
+void ExpectScanMatchesOracle(const CandidateSpace& space,
+                             const CostMatrix& matrix, size_t layers,
+                             bool count_changes,
+                             const std::vector<double>& dist) {
+  SCOPED_TRACE(::testing::Message() << "m=" << space.size() << " layers="
+                                    << layers << " count_changes="
+                                    << count_changes);
+  const size_t m = space.size();
+  const RelaxedStage oracle =
+      OracleScan(matrix, layers, count_changes, /*stage=*/1, dist);
+  RelaxKernel kernel(matrix, space, layers, count_changes, RelaxPath::kScan);
+  std::vector<double> next(layers * m);
+  std::vector<DpParent> parent(layers * m);
+  kernel.RelaxStage(1, dist.data(), next.data(), parent.data());
+  RelaxKernel no_parents(matrix, space, layers, count_changes,
+                         RelaxPath::kScan);
+  std::vector<double> next_only(layers * m);
+  no_parents.RelaxStage(1, dist.data(), next_only.data(), nullptr);
+  for (size_t cell = 0; cell < layers * m; ++cell) {
+    SCOPED_TRACE(::testing::Message() << "l=" << cell / m
+                                      << " c=" << cell % m);
+    EXPECT_EQ(std::bit_cast<uint64_t>(next[cell]),
+              std::bit_cast<uint64_t>(oracle.next[cell]));
+    EXPECT_EQ(std::bit_cast<uint64_t>(next_only[cell]),
+              std::bit_cast<uint64_t>(oracle.next[cell]));
+    if (oracle.next[cell] == kInf) continue;
+    EXPECT_EQ(parent[cell].layer, oracle.parent[cell].layer);
+    EXPECT_EQ(parent[cell].config, oracle.parent[cell].config);
+  }
+  const size_t change_layers = count_changes ? layers - 1 : layers;
+  const auto relaxations =
+      static_cast<int64_t>(layers * m + change_layers * m * (m - 1));
+  EXPECT_EQ(kernel.relaxations(), relaxations);
+  EXPECT_EQ(no_parents.relaxations(), relaxations);
+  EXPECT_EQ(kernel.reachable(), oracle.reachable);
+  EXPECT_EQ(no_parents.reachable(), oracle.reachable);
+}
+
+TEST(RelaxStageTest, ScanMatchesThePerDestinationLoopBitForBit) {
+  // Sizes on both sides of the kernel's lane width, padded and not.
+  Rng rng(15);
+  for (size_t m : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 16u}) {
+    const CandidateSpace space = SingletonSpace(m);
+    ASSERT_EQ(space.size(), m);
+    for (CostKind kind :
+         {CostKind::kSpread, CostKind::kInteger, CostKind::kNearTie}) {
+      const CostMatrix matrix = ScanMatrix(m, kind, &rng);
+      for (int trial = 0; trial < 3; ++trial) {
+        for (size_t layers : {1u, 2u, 3u, 5u}) {
+          // About a quarter of the previous stage is unreachable.
+          std::vector<double> dist(layers * m);
+          for (double& v : dist) {
+            v = rng.NextBounded(4) == 0 ? kInf : DrawCost(kind, &rng);
+          }
+          ExpectScanMatchesOracle(space, matrix, layers, true, dist);
+          if (layers == 1) {
+            ExpectScanMatchesOracle(space, matrix, layers, false, dist);
+          }
+        }
+      }
+      // Whole layers unreachable, then only one reachable cell.
+      std::vector<double> dist(3 * m, kInf);
+      ExpectScanMatchesOracle(space, matrix, 3, true, dist);
+      dist[m + m / 2] = 50.0;
+      ExpectScanMatchesOracle(space, matrix, 3, true, dist);
+      ExpectScanMatchesOracle(space, matrix, 1, false,
+                              std::vector<double>(m, kInf));
+    }
+  }
 }
 
 TEST(RelaxStageTest, ChoosesTheLatticeOnlyWhereItPays) {

@@ -83,6 +83,15 @@ TEST(SolveTraceSpansTest, PhaseSpansCarryTheirCounts) {
                               kStages),
                   "unconstrained.dp"),
             static_cast<int64_t>(kStages - 1));
+  EXPECT_EQ(ArgOf(TracedSolve({"k-aware", OptimizerMethod::kOptimal, 2},
+                              kStages),
+                  "kaware.path"),
+            static_cast<int64_t>(kStages));
+  EXPECT_EQ(ArgOf(TracedSolve({"unconstrained", OptimizerMethod::kOptimal,
+                               std::nullopt},
+                              kStages),
+                  "unconstrained.path"),
+            static_cast<int64_t>(kStages));
   EXPECT_EQ(ArgOf(TracedSolve({"greedy-seq", OptimizerMethod::kGreedySeq, 2},
                               kStages),
                   "greedyseq.grow"),

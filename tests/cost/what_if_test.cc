@@ -1,11 +1,16 @@
 #include "cost/what_if.h"
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
+#include "test_util.h"
 
 namespace cdpd {
 namespace {
@@ -97,6 +102,65 @@ TEST_F(WhatIfTest, DistinctShapesAreCostedSeparately) {
   WhatIfEngine engine(&model_, mixed, segments);
   (void)engine.SegmentCost(0, Configuration::Empty());
   EXPECT_EQ(engine.costings(), 3);  // Three distinct shapes.
+}
+
+TEST_F(WhatIfTest, PrecomputedExecCellsAreSegmentCostsOfShapeColumns) {
+  // 1100 stages of mixed shapes, so the segment-major fill spans several
+  // row ranges, over the 22 configurations of at most two indexes.
+  auto fixture = testing_util::MakeRandomProblem(41, /*num_segments=*/1100,
+                                                 /*block_size=*/20,
+                                                 /*max_indexes_per_config=*/2);
+  const CandidateSpace& space = fixture->problem.candidates;
+  const WhatIfEngine& engine = *fixture->what_if;
+  const size_t n = engine.num_segments();
+  const size_t m = space.size();
+  std::vector<std::vector<double>> columns;
+  for (size_t c = 0; c < m; ++c) {
+    columns.push_back(engine.ShapeColumn(space[c]));
+  }
+  const auto costings_per_fill =
+      static_cast<int64_t>(engine.workload_profile().size() * m);
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+    SCOPED_TRACE(pool == nullptr ? 0 : pool->num_threads());
+    const int64_t before = engine.costings();
+    const CostMatrix matrix = engine.PrecomputeCostMatrix(space, pool).value();
+    EXPECT_EQ(engine.costings() - before, costings_per_fill);
+    for (size_t s = 0; s < n; ++s) {
+      for (size_t c = 0; c < m; ++c) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(matrix.Exec(s, c)),
+                  std::bit_cast<uint64_t>(engine.SegmentCost(s, columns[c])))
+            << "segment " << s << " config " << c;
+      }
+    }
+  }
+}
+
+TEST_F(WhatIfTest, ChangeTransIsTransWithAnInfiniteDiagonalAndPadding) {
+  for (int32_t max_per_config : {1, 2}) {
+    auto fixture = testing_util::MakeRandomProblem(42, 3, 10, max_per_config);
+    const CandidateSpace& space = fixture->problem.candidates;
+    const CostMatrix matrix =
+        fixture->what_if->PrecomputeCostMatrix(space).value();
+    const size_t m = space.size();
+    const size_t stride = CostMatrix::ChangeStride(m);
+    EXPECT_EQ(stride % CostMatrix::kChangeRowWidth, 0u);
+    EXPECT_GE(stride, m);
+    EXPECT_LT(stride, m + CostMatrix::kChangeRowWidth);
+    for (size_t from = 0; from < m; ++from) {
+      const double* row = matrix.ChangeTrans(from);
+      for (size_t to = 0; to < stride; ++to) {
+        if (to < m && to != from) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(row[to]),
+                    std::bit_cast<uint64_t>(matrix.Trans(from, to)));
+        } else {
+          EXPECT_EQ(row[to], std::numeric_limits<double>::infinity())
+              << "from " << from << " to " << to;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(WhatIfTest, PrecomputeValidatesCellsAreFinite) {
