@@ -14,13 +14,16 @@
 // statements_per_sec = solves x n / wall column bench_compare gates
 // on.
 //
-// A last case takes the shape advisor_server re-solves on every
+// Two last cases take the shape advisor_server re-solves on every
 // RECOMMEND after a slide of a 10^6-statement window (the perfbench
 // slide_1m workload): 10k stages of 100 W1 statements, the paper's 7
-// one-index configurations, k = 2. Each of its rounds is one Solve
+// one-index configurations, k = 2. Each of their rounds is one Solve
 // plus the ValidateSchedule pass the service runs on the answer, so
 // the per-stage work around the DP (precompute, schedule build,
-// validation) is timed with it.
+// validation) is timed with it. slide_1m_m7_k2 solves in one block;
+// slide_1m_m7_k2_chunks8 in 8 checkpoint blocks (RECOMMEND chunks=8),
+// the memory-bounded path, which re-relaxes 7/8 of the stages during
+// the backtrack.
 
 #include <cstdio>
 #include <memory>
@@ -144,8 +147,8 @@ void Run(bench_util::BenchReport* report) {
 
   PrintHeader("slide_1m re-solve: 10k stages x 100 statements, m = 7, "
               "k = 2, Solve + ValidateSchedule");
-  std::printf("%12s %4s %8s %6s %12s %14s\n", "n", "m", "stages", "rounds",
-              "wall(s)", "stmts/sec");
+  std::printf("%12s %4s %8s %6s %6s %12s %14s\n", "n", "m", "stages",
+              "rounds", "chunks", "wall(s)", "stmts/sec");
   constexpr size_t kWindow = 1'000'000;
   constexpr int kRounds = 10;
   WorkloadGenerator gen(schema, kPaperDomain, kSeed);
@@ -163,34 +166,42 @@ void Run(bench_util::BenchReport* report) {
       EnumerateConfigurations(MakePaperCandidateIndexes(schema), enum_options)
           .value();
   problem.initial = Configuration::Empty();
-  SolveOptions options;
-  options.method = OptimizerMethod::kOptimal;
-  options.k = 2;
-  options.num_threads = threads;
-  options.pool = pool.get();
-  AttachObservability(&options);
-  SolveStats stats;
-  Status failure = Status::OK();
-  Stopwatch watch;
-  for (int round = 0; round < kRounds && failure.ok(); ++round) {
-    auto result = Solve(problem, options);
-    if (!result.ok()) {
-      failure = result.status();
-      break;
+  for (const int chunks : {1, 8}) {
+    SolveOptions options;
+    options.method = OptimizerMethod::kOptimal;
+    options.k = 2;
+    options.num_threads = threads;
+    options.pool = pool.get();
+    options.segmented.num_chunks = chunks;
+    AttachObservability(&options);
+    SolveStats stats;
+    Status failure = Status::OK();
+    Stopwatch watch;
+    for (int round = 0; round < kRounds && failure.ok(); ++round) {
+      auto result = Solve(problem, options);
+      if (!result.ok()) {
+        failure = result.status();
+        break;
+      }
+      failure = ValidateSchedule(problem, result->schedule, options.k);
+      stats.Accumulate(result->stats);
     }
-    failure = ValidateSchedule(problem, result->schedule, options.k);
-    stats.Accumulate(result->stats);
+    const double wall = watch.ElapsedSeconds();
+    if (!failure.ok()) {
+      std::printf("slide_1m re-solve failed: %s\n",
+                  failure.ToString().c_str());
+      return;
+    }
+    const std::string name =
+        chunks == 1 ? std::string("slide_1m_m7_k2")
+                    : "slide_1m_m7_k2_chunks" + std::to_string(chunks);
+    report->AddCase(name, wall, stats,
+                    static_cast<int64_t>(kWindow) * kRounds);
+    std::printf("%12zu %4zu %8zu %6d %6lld %12.3f %14.0f\n", kWindow,
+                problem.candidates.size(), what_if.num_segments(), kRounds,
+                static_cast<long long>(stats.segment_chunks), wall,
+                static_cast<double>(kWindow) * kRounds / wall);
   }
-  const double wall = watch.ElapsedSeconds();
-  if (!failure.ok()) {
-    std::printf("slide_1m re-solve failed: %s\n", failure.ToString().c_str());
-    return;
-  }
-  report->AddCase("slide_1m_m7_k2", wall, stats,
-                  static_cast<int64_t>(kWindow) * kRounds);
-  std::printf("%12zu %4zu %8zu %6d %12.3f %14.0f\n", kWindow,
-              problem.candidates.size(), what_if.num_segments(), kRounds,
-              wall, static_cast<double>(kWindow) * kRounds / wall);
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ struct CliArgs {
   int64_t rows = 250'000;
   int64_t deadline_ms = -1;  // < 0 = no deadline.
   int64_t memory_limit_bytes = -1;  // < 0 = no limit.
-  int64_t segments = 0;       // Chunks for segment-parallel solving; 0 = auto.
+  int64_t segments = 0;       // Checkpoint blocks of the k-aware DP; 0 = auto.
   bool prune = false;         // Dominance-prune the candidate space.
   bool calibrate = false;
   bool emit_ddl = false;
@@ -93,11 +93,11 @@ void PrintHelp(std::FILE* out) {
       "                    allocations; an over-budget solve degrades\n"
       "                    to a best-effort schedule instead of\n"
       "                    allocating past the limit\n"
-      "  --segments N      chunks for segment-parallel k-aware solving\n"
-      "                    (0 = auto: one monolithic pass; 1 =\n"
-      "                    monolithic; N >= 2 holds one chunk's DP\n"
-      "                    table at a time, for about (m + 1)x the\n"
-      "                    work; exact for every value)\n"
+      "  --segments N      checkpoint blocks of the k-aware DP\n"
+      "                    (0 = auto and 1: one block; N >= 2 keeps\n"
+      "                    one block's parent table and re-relaxes\n"
+      "                    the earlier blocks once more; the same\n"
+      "                    schedule for every value)\n"
       "  --prune           drop dominated candidate configurations\n"
       "                    before solving (exact; see the explain\n"
       "                    header's scale line)\n"
@@ -466,11 +466,10 @@ int main(int argc, char** argv) {
         stats.threads_used, static_cast<long long>(stats.costings),
         static_cast<long long>(stats.nodes_expanded));
     if (stats.pruned_configs > 0 || stats.segment_chunks > 0) {
-      std::printf("scale: %lld dominated configs pruned, %lld segment "
-                  "chunks (stitch window %lld)\n",
+      std::printf("scale: %lld dominated configs pruned, %lld checkpoint "
+                  "blocks\n",
                   static_cast<long long>(stats.pruned_configs),
-                  static_cast<long long>(stats.segment_chunks),
-                  static_cast<long long>(stats.stitch_window));
+                  static_cast<long long>(stats.segment_chunks));
     }
   }
   if (args.mem_stats) {

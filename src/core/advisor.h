@@ -66,7 +66,7 @@ struct AdvisorOptions {
   /// must be thread-safe (see common/progress.h). None perturb the
   /// recommendation.
   Observability observability;
-  /// Dominance pruning and segment-parallel solving, forwarded to
+  /// Dominance pruning and DP checkpoint blocks, forwarded to
   /// SolveOptions::prune_dominated / SolveOptions::segmented.
   bool prune_dominated = false;
   SegmentSolveOptions segmented;

@@ -82,7 +82,7 @@ ExplainReport BuildExplainReport(const DesignProblem& problem,
   if (k.has_value()) {
     report.predicted_kaware_bytes = PredictKAwareTableBytes(
         static_cast<int64_t>(problem.num_segments()), problem.candidates, *k,
-        problem.count_initial_change);
+        problem.count_initial_change, stats.segment_chunks);
   }
   report.actual_kaware_bytes =
       stats.component_peak_bytes[static_cast<size_t>(
@@ -209,15 +209,14 @@ std::string ExplainReport::ToText(const Schema& schema) const {
   out += "  solve:          " + ShortDouble(stats.wall_seconds) + " s, " +
          std::to_string(stats.threads_used) + " threads, " +
          std::to_string(stats.costings) + " costings\n";
-  // Scale line only when pruning or segmenting actually engaged, so
+  // Scale line only when pruning or checkpointing actually engaged, so
   // golden reports from plain solves render byte-identically.
   if (stats.pruned_configs > 0 || stats.segment_chunks > 0) {
     out += "  scale:          " + std::to_string(stats.pruned_configs) +
            " dominated configs pruned";
     if (stats.segment_chunks > 0) {
       out += ", " + std::to_string(stats.segment_chunks) +
-             " segment chunks (stitch window " +
-             std::to_string(stats.stitch_window) + ")";
+             " checkpoint blocks";
     }
     out += "\n";
   }

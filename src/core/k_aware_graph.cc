@@ -43,35 +43,28 @@ KAwareGraphSize ComputeKAwareGraphSize(int64_t num_stages, int64_t num_configs,
   return size;
 }
 
-int64_t PredictKAwareTableBytes(int64_t num_stages,
-                                const CandidateSpace& candidates, int64_t k,
-                                bool count_initial_change) {
-  const auto num_configs = static_cast<int64_t>(candidates.size());
-  if (num_stages <= 0 || num_configs <= 0) return 0;
-  if (k < 0) k = 0;
-  // The same layer clamp SolveKAware applies before sizing its tables.
-  const int64_t max_changes = num_stages - 1 + (count_initial_change ? 1 : 0);
-  const int64_t layers =
-      SaturatingAdd(k >= max_changes ? max_changes : k, 1);
-  const int64_t layer_cells = SaturatingMul(layers, num_configs);
-  // dist + next: two layers x m double arrays.
-  int64_t bytes = SaturatingMul(
-      SaturatingMul(int64_t{2}, layer_cells),
-      static_cast<int64_t>(sizeof(double)));
-  // parent: n x layers x m DpParent cells.
-  bytes = SaturatingAdd(
-      bytes, SaturatingMul(SaturatingMul(num_stages, layer_cells),
-                           static_cast<int64_t>(sizeof(DpParent))));
-  // init_trans + final_trans boundary vectors.
-  bytes = SaturatingAdd(
-      bytes, SaturatingMul(SaturatingMul(int64_t{2}, num_configs),
-                           static_cast<int64_t>(sizeof(double))));
-  // The lattice path's per-point values and argmins.
-  return SaturatingAdd(
-      bytes, RelaxScratchBytes(candidates, ChooseRelaxPath(candidates)));
-}
-
 namespace {
+
+/// The checkpoint blocks of an n-stage DP: its relaxed stages 1..n-1
+/// cut into `count` consecutive runs whose lengths differ by at most
+/// one, the longer runs first. `requested` is clamped to [1, n - 1], so
+/// every block relaxes at least one stage.
+struct StageBlocks {
+  StageBlocks(size_t num_stages, size_t requested) {
+    const size_t relaxed = num_stages > 0 ? num_stages - 1 : 0;
+    count = std::max<size_t>(1, std::min(requested, relaxed));
+    base = relaxed / count;
+    longer = relaxed % count;
+  }
+  /// The first stage of block b; Begin(count) is one past the last.
+  size_t Begin(size_t b) const { return 1 + b * base + std::min(b, longer); }
+  /// Stages in the longest block: the parent rows the table holds.
+  size_t MaxRows() const { return base + (longer > 0 ? 1 : 0); }
+
+  size_t count = 1;
+  size_t base = 0;    // Stages in a shorter block.
+  size_t longer = 0;  // Blocks that hold base + 1 stages.
+};
 
 /// Where one solve reports itself: the k-aware graph's names, or the
 /// plain sequence graph's for an unset k.
@@ -103,12 +96,49 @@ struct OperatorDelete {
 
 }  // namespace
 
+int64_t PredictKAwareTableBytes(int64_t num_stages,
+                                const CandidateSpace& candidates, int64_t k,
+                                bool count_initial_change,
+                                int64_t num_blocks) {
+  const auto num_configs = static_cast<int64_t>(candidates.size());
+  if (num_stages <= 0 || num_configs <= 0) return 0;
+  if (k < 0) k = 0;
+  // The same layer and block clamps SolveKAware applies before sizing
+  // its tables.
+  const int64_t max_changes = num_stages - 1 + (count_initial_change ? 1 : 0);
+  const int64_t layers =
+      SaturatingAdd(k >= max_changes ? max_changes : k, 1);
+  const int64_t layer_cells = SaturatingMul(layers, num_configs);
+  const StageBlocks blocks(
+      static_cast<size_t>(num_stages),
+      static_cast<size_t>(std::max<int64_t>(num_blocks, 1)));
+  // dist + next and the checkpoints of every block but the last:
+  // B + 1 layers x m double arrays.
+  int64_t bytes = SaturatingMul(
+      SaturatingMul(static_cast<int64_t>(blocks.count) + 1, layer_cells),
+      static_cast<int64_t>(sizeof(double)));
+  // parent: one block's rows of layers x m DpParent cells.
+  bytes = SaturatingAdd(
+      bytes,
+      SaturatingMul(SaturatingMul(static_cast<int64_t>(blocks.MaxRows()),
+                                  layer_cells),
+                    static_cast<int64_t>(sizeof(DpParent))));
+  // init_trans + final_trans boundary vectors.
+  bytes = SaturatingAdd(
+      bytes, SaturatingMul(SaturatingMul(int64_t{2}, num_configs),
+                           static_cast<int64_t>(sizeof(double))));
+  // The lattice path's per-point values and argmins.
+  return SaturatingAdd(
+      bytes, RelaxScratchBytes(candidates, ChooseRelaxPath(candidates)));
+}
+
 Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
                                    std::optional<int64_t> k,
                                    SolveStats* stats, ThreadPool* pool,
                                    Tracer* tracer, const Budget* budget,
                                    const ProgressFn* progress, Logger* logger,
-                                   ResourceTracker* tracker) {
+                                   ResourceTracker* tracker,
+                                   size_t num_blocks) {
   CDPD_RETURN_IF_ERROR(problem.Validate());
   if (k.has_value() && *k < 0) {
     return Status::InvalidArgument("change bound k must be >= 0");
@@ -133,6 +163,10 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
     if (stats != nullptr) *stats = local_stats;
     return schedule;
   }
+  const StageBlocks blocks(n, num_blocks);
+  if (blocks.count > 1) {
+    local_stats.segment_chunks = static_cast<int64_t>(blocks.count);
+  }
 
   // No schedule over n segments can make more changes than n - 1
   // interior switches plus (when it counts) the initial build, so a
@@ -145,9 +179,10 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
   const int64_t k_or_zero = k.value_or(0);
   const size_t layers =
       static_cast<size_t>(std::min(k_or_zero, max_changes)) + 1;
-  // The parent table holds n * layers * m cells; reject sizes that
-  // overflow int64 before allocating (the allocation itself would
-  // otherwise wrap size_t arithmetic or bad_alloc unpredictably).
+  // The one-block parent table holds (n - 1) * layers * m cells; reject
+  // an n * layers * m that overflows int64 before allocating (the
+  // allocation itself would otherwise wrap size_t arithmetic or
+  // bad_alloc unpredictably).
   int64_t table_cells = 0;
   if (!CheckedMul(static_cast<int64_t>(n), static_cast<int64_t>(layers),
                   &table_cells) ||
@@ -157,6 +192,15 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
         std::to_string(layers) + " layers x " + std::to_string(m) +
         " candidate configurations overflows the addressable size");
   }
+
+  // The anytime floor: the cheapest static schedule, flagged.
+  const auto best_static = [&]() -> Result<DesignSchedule> {
+    CDPD_ASSIGN_OR_RETURN(DesignSchedule fallback,
+                          BestStaticSchedule(problem, k));
+    local_stats.deadline_hit = true;
+    local_stats.best_effort = true;
+    return fallback;
+  };
 
   // Charge the two big allocation classes before making either. A
   // refusal (the tracker's soft limit would be passed) degrades to the
@@ -170,15 +214,14 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
     table_reservation = ScopedReservation::Try(
         tracker, names.table,
         PredictKAwareTableBytes(static_cast<int64_t>(n), configs, k_or_zero,
-                                problem.count_initial_change));
+                                problem.count_initial_change,
+                                static_cast<int64_t>(blocks.count)));
   }
   if (!matrix_reservation.ok() || !table_reservation.ok()) {
     CDPD_LOG(logger, LogLevel::kWarn, names.memory_limit,
              LogField("limit_bytes", tracker->limit_bytes()),
              LogField("fallback", "best-static"));
-    CDPD_ASSIGN_OR_RETURN(schedule, BestStaticSchedule(problem, k));
-    local_stats.deadline_hit = true;
-    local_stats.best_effort = true;
+    CDPD_ASSIGN_OR_RETURN(schedule, best_static());
     local_stats.wall_seconds = watch.ElapsedSeconds();
     local_stats.costings = what_if.costings() - costings_before;
     if (stats != nullptr) *stats = local_stats;
@@ -216,16 +259,21 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
       problem.final_config.has_value() ? final_trans.data() : nullptr;
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  const size_t layer_cells = layers * m;
   // dist[l * m + c]: cheapest way to execute S_1..S_i with
   // C_i = configs[c] using at most l changes.
-  std::vector<double> dist(layers * m, kInf);
-  // parent[(stage * layers + l) * m + c] for path reconstruction. The
-  // kernel writes a cell before any back-pointer can lead to it, and
-  // the backtrack follows only those, so the table is allocated without
-  // a value-initializing pass.
+  std::vector<double> dist(layer_cells, kInf);
+  // One block's back-pointers: parent[(row * layers + l) * m + c], row
+  // = stage - the block's first stage. The kernel writes a cell before
+  // any back-pointer can lead to it, and the backtrack follows only
+  // those, so the table is allocated without a value-initializing pass
+  // and reused across blocks without clearing.
   const std::unique_ptr<DpParent[], OperatorDelete> parent(
-      static_cast<DpParent*>(
-          ::operator new(n * layers * m * sizeof(DpParent))));
+      static_cast<DpParent*>(::operator new(blocks.MaxRows() * layer_cells *
+                                            sizeof(DpParent))));
+  // checkpoints[b * layers * m + ...]: dist entering block b, for every
+  // block but the last.
+  std::vector<double> checkpoints((blocks.count - 1) * layer_cells);
 
   // Without a bound no change is counted, the initial build included.
   const bool initial_counts = k.has_value() && problem.count_initial_change;
@@ -243,23 +291,40 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
   // Phase 2: the layered DP, one serial kernel sweep per stage. The
   // kernel picks the scan or the subset-lattice path from the space;
   // either way the schedule is independent of the thread count.
-  std::vector<double> next(layers * m, kInf);
+  std::vector<double> next(layer_cells, kInf);
   RelaxKernel kernel(matrix, configs, layers,
                      /*count_changes=*/k.has_value(),
                      ChooseRelaxPath(configs));
   std::vector<ConfigId> path(n);
-  // Walks the parent table back from (last_stage, l, c) into path.
+  // Walks the back-pointers from the cell (l, c) of stage `last_stage`
+  // into path. The table holds the last block's rows; each earlier
+  // block is first re-relaxed from its checkpoint into the same table,
+  // which reproduces the forward pass's rows bit for bit. False when
+  // the budget expired during a re-relaxation.
   const auto trace_back = [&](size_t last_stage, size_t l, size_t c) {
-    for (size_t stage = last_stage + 1; stage-- > 0;) {
+    size_t b = blocks.count - 1;
+    size_t first = blocks.Begin(b);
+    for (size_t stage = last_stage; stage > 0; --stage) {
+      if (stage < first) {
+        first = blocks.Begin(--b);
+        std::copy_n(checkpoints.begin() + b * layer_cells, layer_cells,
+                    dist.begin());
+        for (size_t s = first; s <= stage; ++s) {
+          if (BudgetExpired(budget)) return false;
+          kernel.RelaxStage(s, dist.data(), next.data(),
+                            parent.get() + (s - first) * layer_cells);
+          std::swap(dist, next);
+        }
+      }
       path[stage] = static_cast<ConfigId>(c);
-      if (stage == 0) break;
-      const DpParent p = parent[(stage * layers + l) * m + c];
+      const DpParent p = parent[((stage - first) * layers + l) * m + c];
       l = static_cast<size_t>(p.layer);
       c = static_cast<size_t>(p.config);
     }
+    path[0] = static_cast<ConfigId>(c);
+    return true;
   };
   const auto finish = [&](DesignSchedule done) -> DesignSchedule {
-    local_stats.nodes_expanded += kernel.reachable();
     local_stats.relaxations = kernel.relaxations();
     local_stats.wall_seconds = watch.ElapsedSeconds();
     local_stats.costings = what_if.costings() - costings_before;
@@ -270,17 +335,22 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
   // the chosen cell's configuration for the remaining stages adds zero
   // design changes, so whatever layer the prefix ended in, the frozen
   // schedule still makes at most k changes. dist holds the
-  // stage-`last_stage` values; parent rows 1..last_stage are filled.
+  // stage-`last_stage` values; with one block, parent rows
+  // 1..last_stage are filled.
   const auto freeze_prefix =
       [&](size_t last_stage) -> Result<DesignSchedule> {
+    // EXEC of the frozen tail per configuration, in stage order.
+    std::vector<double> tail(m, 0.0);
+    for (size_t stage = last_stage + 1; stage < n; ++stage) {
+      for (size_t c = 0; c < m; ++c) tail[c] += matrix.Exec(stage, c);
+    }
     double best = kInf;
     size_t best_l = 0;
     size_t best_c = 0;
     for (size_t l = 0; l < layers; ++l) {
       for (size_t c = 0; c < m; ++c) {
         if (dist[l * m + c] == kInf) continue;
-        double cost =
-            dist[l * m + c] + matrix.ExecRange(last_stage + 1, n, c);
+        double cost = dist[l * m + c] + tail[c];
         if (problem.final_config.has_value()) cost += final_trans[c];
         if (cost < best) {
           best = cost;
@@ -309,23 +379,42 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
 
   {
     CDPD_TRACE_SPAN(tracer, names.dp, "solver", static_cast<int64_t>(n - 1));
-    for (size_t stage = 1; stage < n; ++stage) {
-      if (BudgetExpired(budget)) {
-        CDPD_LOG(logger, LogLevel::kWarn, names.deadline,
-                 LogField("stage", stage), LogField("stages", n));
-        CDPD_ASSIGN_OR_RETURN(DesignSchedule frozen,
-                              freeze_prefix(stage - 1));
-        return finish(std::move(frozen));
+    for (size_t b = 0; b < blocks.count; ++b) {
+      // Every block but the last saves the dist it starts from and
+      // keeps no parent rows; the backtrack re-relaxes it.
+      const bool last = b + 1 == blocks.count;
+      const size_t first = blocks.Begin(b);
+      if (!last) {
+        std::copy(dist.begin(), dist.end(),
+                  checkpoints.begin() + b * layer_cells);
       }
-      ReportProgress(progress, names.dp,
-                     static_cast<double>(stage) / static_cast<double>(n));
-      kernel.RelaxStage(stage, dist.data(), next.data(),
-                        parent.get() + stage * layers * m);
-      std::swap(dist, next);
+      for (size_t stage = first; stage < blocks.Begin(b + 1); ++stage) {
+        if (BudgetExpired(budget)) {
+          CDPD_LOG(logger, LogLevel::kWarn, names.deadline,
+                   LogField("stage", stage), LogField("stages", n));
+          local_stats.nodes_expanded += kernel.reachable();
+          if (blocks.count > 1) {
+            CDPD_ASSIGN_OR_RETURN(DesignSchedule fallback, best_static());
+            return finish(std::move(fallback));
+          }
+          CDPD_ASSIGN_OR_RETURN(DesignSchedule frozen,
+                                freeze_prefix(stage - 1));
+          return finish(std::move(frozen));
+        }
+        ReportProgress(progress, names.dp,
+                       static_cast<double>(stage) / static_cast<double>(n));
+        kernel.RelaxStage(
+            stage, dist.data(), next.data(),
+            last ? parent.get() + (stage - first) * layer_cells : nullptr);
+        std::swap(dist, next);
+      }
     }
   }
+  // The re-relaxations below reach the same cells again; count each once.
+  local_stats.nodes_expanded += kernel.reachable();
 
-  // The best final cell, its backtrack, the schedule and its price.
+  // The best final cell, its backtrack (re-relaxing every block but
+  // the last), the schedule and its price.
   CDPD_TRACE_SPAN(tracer, names.path, "solver", static_cast<int64_t>(n));
 
   double best = kInf;
@@ -349,7 +438,12 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
     return Status::Internal("k-aware graph has no feasible path");
   }
 
-  trace_back(n - 1, best_layer, best_config);
+  if (!trace_back(n - 1, best_layer, best_config)) {
+    CDPD_LOG(logger, LogLevel::kWarn, names.deadline,
+             LogField("phase", "backtrack"), LogField("stages", n));
+    CDPD_ASSIGN_OR_RETURN(DesignSchedule fallback, best_static());
+    return finish(std::move(fallback));
+  }
   schedule.configs.reserve(n);
   for (const ConfigId id : path) schedule.configs.push_back(configs[id]);
   schedule.total_cost =

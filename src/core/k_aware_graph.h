@@ -36,19 +36,22 @@ KAwareGraphSize ComputeKAwareGraphSize(int64_t num_stages,
                                        int64_t num_configs, int64_t k);
 
 /// Predicted bytes of SolveKAware's DP working set over `candidates`
-/// — the dist/next arrays (2 x layers x m doubles), the parent table
-/// (n x layers x m 8-byte DpParent cells), the boundary transition
-/// vectors, and on the lattice path its 2^u values and argmins
-/// (RelaxScratchBytes) — using the same layer clamp the solver applies
-/// (layers = min(k, n - 1 + count_initial_change) + 1). This is the
-/// model the explain report quotes against the measured
+/// with `num_blocks` checkpoint blocks — the dist/next arrays and the
+/// B - 1 checkpoints ((B + 1) x layers x m doubles), one block's parent
+/// rows (ceil((n - 1) / B) x layers x m 8-byte DpParent cells), the
+/// boundary transition vectors, and on the lattice path its 2^u values
+/// and argmins (RelaxScratchBytes) — using the same layer and block
+/// clamps the solver applies (layers = min(k, n - 1 +
+/// count_initial_change) + 1, B = min(max(num_blocks, 1), n - 1)).
+/// This is the model the explain report quotes against the measured
 /// MemComponent::kKAwareTable peak, and the figure a caller should
 /// budget when sizing SolveOptions::memory_limit_bytes; saturates at
 /// INT64_MAX. The O(k n 2^{2m}) space bound of §3 is this quantity
-/// with m = 2^{2m'} candidate configurations.
+/// with one block and m = 2^{2m'} candidate configurations.
 int64_t PredictKAwareTableBytes(int64_t num_stages,
                                 const CandidateSpace& candidates, int64_t k,
-                                bool count_initial_change);
+                                bool count_initial_change,
+                                int64_t num_blocks = 1);
 
 /// Optimal dynamic physical design (§3): the shortest path through the
 /// k-aware sequence graph, whose layer l holds the cheapest ways to
@@ -89,9 +92,9 @@ int64_t PredictKAwareTableBytes(int64_t num_stages,
 /// *before* any allocation.
 ///
 /// `stats`, `pool`, and `tracer` are optional; with a tracer the solve
-/// records one "kaware.precompute" and one "kaware.dp" span (arg = the
-/// n - 1 relaxed stages), whatever n is (timestamps only — results are
-/// unchanged).
+/// records one "kaware.precompute", one "kaware.dp" (arg = the n - 1
+/// relaxed stages) and one "kaware.path" span, whatever n is
+/// (timestamps only — results are unchanged).
 ///
 /// `budget` (optional) bounds the solve; expiry is polled between
 /// precompute blocks and DP stages. Anytime semantics — on expiry
@@ -114,6 +117,22 @@ int64_t PredictKAwareTableBytes(int64_t num_stages,
 /// the solve degrades instead of allocating: it returns
 /// BestStaticSchedule (flagged best_effort/deadline_hit) rather than
 /// building tables it has no budget for.
+///
+/// `num_blocks` bounds the parent table by checkpoint-and-recompute.
+/// The n - 1 relaxed stages are cut into B = min(max(num_blocks, 1),
+/// n - 1) consecutive blocks whose lengths differ by at most one. With
+/// B = 1 the DP keeps every parent row. With B >= 2 the forward pass
+/// keeps parent rows for the last block only and saves dist where each
+/// earlier block starts; the backtrack re-relaxes each earlier block
+/// from its saved copy into the same block-sized table. The kernel is
+/// deterministic, so the re-relaxed rows equal the forward pass's and
+/// the schedule, cost and nodes_expanded are bit-identical to B = 1's
+/// for any thread count. The price is the re-relaxation of every stage
+/// before the last block, which stats->relaxations counts and which
+/// runs inside the "kaware.path" span. stats->segment_chunks reports B
+/// (0 for one block). A budget expiry with B >= 2 returns
+/// BestStaticSchedule flagged deadline_hit/best_effort instead of the
+/// prefix freeze, whose parent rows the blocks no longer hold.
 Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
                                    std::optional<int64_t> k,
                                    SolveStats* stats = nullptr,
@@ -122,7 +141,8 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
                                    const Budget* budget = nullptr,
                                    const ProgressFn* progress = nullptr,
                                    Logger* logger = nullptr,
-                                   ResourceTracker* tracker = nullptr);
+                                   ResourceTracker* tracker = nullptr,
+                                   size_t num_blocks = 1);
 
 }  // namespace cdpd
 

@@ -41,8 +41,11 @@ RelaxPath ChooseRelaxPath(const CandidateSpace& space);
 int64_t RelaxScratchBytes(const CandidateSpace& space, RelaxPath path);
 
 /// The one layered DP relaxation kernel behind SolveKAware (set or
-/// unset k) and SolveKAwareSegmented. Serial: the solvers call it once
-/// per stage, so every argmin is independent of the thread count.
+/// unset k). Serial: the solver calls it once per stage, so every
+/// argmin is independent of the thread count, and relaxing a stage
+/// again from the same input reproduces its values and back-pointers
+/// bit for bit — which is what lets a checkpointed solve re-relax a
+/// block instead of keeping its parent rows.
 ///
 /// A cell (l, c) of stage s takes the cheaper of its stay edge
 /// (dist[l][c], same layer, same configuration) and the change edges

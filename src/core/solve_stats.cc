@@ -31,7 +31,6 @@ void ForEachField(Fn&& fn, Stats&... stats) {
      stats.candidate_evaluations...);
   fn("pruned_configs", Kind::kCounter, stats.pruned_configs...);
   fn("segment_chunks", Kind::kGauge, stats.segment_chunks...);
-  fn("stitch_window", Kind::kGauge, stats.stitch_window...);
   fn("deadline_hit", Kind::kFlag, stats.deadline_hit...);
   fn("best_effort", Kind::kFlag, stats.best_effort...);
   fn("cpu_us", Kind::kCounter, stats.cpu_seconds...);

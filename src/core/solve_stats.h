@@ -42,7 +42,7 @@ struct SolveStats {
   /// unconstrained DPs), or ranked-path tree nodes for ranking.
   int64_t nodes_expanded = 0;
   /// Updates the DP relaxation kernel performed (core/relax_stage.h),
-  /// plus the segmented solver's stitch comparisons. Per stage and
+  /// including the stages a checkpointed solve re-relaxes. Per stage and
   /// destination cell: one stay-edge update; then per layer with
   /// change edges, on the scan path one update per predecessor
   /// (m - 1 per cell), on the lattice path u * 2^u per-bit min-plus
@@ -60,13 +60,10 @@ struct SolveStats {
   /// the method ran (SolveOptions::prune_dominated); 0 when pruning
   /// was off or nothing was dominated.
   int64_t pruned_configs = 0;
-  /// Segment-parallel decomposition shape (the k-aware segmented
-  /// solver only; see core/segment_solver.h): the number of chunks the
-  /// statement sequence was split into, and the width of the boundary
-  /// stitch DP's change-budget window (clamped k + 1 layers). Both 0
-  /// when the solve ran monolithically.
+  /// Checkpoint blocks the k-aware DP ran in (SolveKAware's
+  /// num_blocks after its clamp; see SegmentSolveOptions); 0 when it
+  /// ran in one block.
   int64_t segment_chunks = 0;
-  int64_t stitch_window = 0;
   /// The solve's deadline/cancellation budget expired and the schedule
   /// is the method's anytime fallback (the best feasible answer it had
   /// at expiry), not its normal result. Never set without a budget.

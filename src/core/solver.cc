@@ -75,6 +75,14 @@ const char* UnconstrainedDetail(OptimizerMethod method) {
 
 }  // namespace
 
+Status SegmentSolveOptions::Validate() const {
+  if (num_chunks < 0) {
+    return Status::InvalidArgument(
+        "segmented.num_chunks must be >= 0 (0 = auto, 1 = one block)");
+  }
+  return Status::OK();
+}
+
 Status SolveOptions::Validate() const {
   if (k.has_value() && *k < 0) {
     return Status::InvalidArgument(
@@ -224,23 +232,12 @@ Result<SolveResult> Solve(const DesignProblem& problem,
   } else {
     switch (options.method) {
       case OptimizerMethod::kOptimal: {
-        const size_t chunks =
-            ResolveNumChunks(options.segmented, active->num_segments());
-        if (chunks >= 2) {
-          CDPD_ASSIGN_OR_RETURN(
-              result.schedule,
-              SolveKAwareSegmented(*active, *options.k, chunks, &result.stats,
-                                   pool, tracer, budget, progress, logger,
-                                   &tracker));
-          result.method_detail = "segment-parallel k-aware (" +
-                                 std::to_string(chunks) + " chunks)";
-        } else {
-          CDPD_ASSIGN_OR_RETURN(
-              result.schedule,
-              SolveKAware(*active, options.k, &result.stats, pool, tracer,
-                          budget, progress, logger, &tracker));
-          result.method_detail = "k-aware sequence graph";
-        }
+        CDPD_ASSIGN_OR_RETURN(
+            result.schedule,
+            SolveKAware(*active, options.k, &result.stats, pool, tracer,
+                        budget, progress, logger, &tracker,
+                        static_cast<size_t>(options.segmented.num_chunks)));
+        result.method_detail = "k-aware sequence graph";
         break;
       }
       case OptimizerMethod::kGreedySeq: {

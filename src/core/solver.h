@@ -15,7 +15,6 @@
 #include "core/design_problem.h"
 #include "core/explain.h"
 #include "core/greedy_seq.h"
-#include "core/segment_solver.h"
 #include "core/solve_stats.h"
 
 namespace cdpd {
@@ -37,6 +36,21 @@ std::string_view OptimizerMethodToString(OptimizerMethod method);
 /// Shared by the RECOMMEND request parser and the journal replay
 /// harness so a recorded method name round-trips exactly.
 Result<OptimizerMethod> OptimizerMethodFromString(std::string_view name);
+
+/// How Solve() bounds the memory of the k-aware DP (SolveOptions
+/// embeds one; only read for OptimizerMethod::kOptimal with k set).
+struct SegmentSolveOptions {
+  /// Checkpoint blocks of the DP (SolveKAware's num_blocks). 0 =
+  /// automatic and 1 both run the DP in one block, which keeps every
+  /// parent row; N >= 2 (clamped to the n - 1 relaxed stages) keeps one
+  /// block's parent rows plus N - 1 saved layers of DP values, and
+  /// re-relaxes every stage before the last block once more during the
+  /// backtrack. The schedule and cost are identical for every value
+  /// and thread count.
+  int num_chunks = 0;
+
+  Status Validate() const;
+};
 
 /// Everything that parameterizes one Solve() call, uniform across the
 /// five techniques. Replaces the divergent free-function signatures
@@ -88,11 +102,10 @@ struct SolveOptions {
   /// already tiny. stats.pruned_configs reports the drop count.
   bool prune_dominated = false;
 
-  /// Segment-parallel solving of the k-aware DP (method == kOptimal
-  /// with k set only; see core/segment_solver.h). The default
-  /// (num_chunks = 0, automatic) always runs the monolithic pass; an
-  /// explicit num_chunks >= 2 splits the stages to bound the DP's
-  /// parent table. The cost is the same either way.
+  /// Checkpoint blocks of the k-aware DP (method == kOptimal with k set
+  /// only; see SegmentSolveOptions). The default runs one block; an
+  /// explicit num_chunks >= 2 bounds the DP's parent table to one
+  /// block's rows. The schedule is the same either way.
   SegmentSolveOptions segmented;
 
   /// Build a per-transition EXEC/TRANS attribution of the returned
@@ -129,7 +142,7 @@ struct SolveOptions {
   /// All option validation in one place: k >= 0 when set,
   /// num_threads >= 0, ranking_max_paths > 0, deadline >= 0 when set,
   /// memory_limit_bytes > 0 when set, greedy candidate indexes
-  /// present for kGreedySeq, and sensible segment widths
+  /// present for kGreedySeq, and segmented.num_chunks >= 0
   /// (segmented.Validate()).
   Status Validate() const;
 };

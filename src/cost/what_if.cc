@@ -71,15 +71,7 @@ uint64_t ShapeFingerprint(const BoundStatement& shape) {
 }  // namespace
 
 void CostMatrix::Finalize() {
-  const size_t n = num_segments_;
   const size_t m = num_configs_;
-  exec_prefix_.assign((n + 1) * m, 0.0);
-  for (size_t s = 0; s < n; ++s) {
-    const double* row = exec_.data() + s * m;
-    const double* prefix = exec_prefix_.data() + s * m;
-    double* next = exec_prefix_.data() + (s + 1) * m;
-    for (size_t c = 0; c < m; ++c) next[c] = prefix[c] + row[c];
-  }
   const size_t stride = ChangeStride(m);
   change_trans_.assign(m * stride, std::numeric_limits<double>::infinity());
   for (size_t from = 0; from < m; ++from) {

@@ -42,10 +42,10 @@ struct WorkloadShape {
 /// at the API boundary (the returned schedule), never inside the DP.
 ///
 /// The tables are stored structure-of-arrays: the EXEC matrix row-major
-/// by segment, a per-config prefix-sum table for O(1) range sums, and
-/// the TRANS matrix twice: as written, and as the change-edge table the
-/// relaxation kernel's scan path sweeps (ChangeTrans), whose rows are
-/// padded to a fixed width so the sweep runs in fixed-width loops.
+/// by segment, and the TRANS matrix twice: as written, and as the
+/// change-edge table the relaxation kernel's scan path sweeps
+/// (ChangeTrans), whose rows are padded to a fixed width so the sweep
+/// runs in fixed-width loops.
 class CostMatrix {
  public:
   CostMatrix() = default;
@@ -68,13 +68,12 @@ class CostMatrix {
            kChangeRowWidth;
   }
 
-  /// Bytes the EXEC + prefix + TRANS + change-edge tables of an
-  /// (n x m) matrix occupy — what a solver charges to
-  /// MemComponent::kCostMatrix before the precompute.
+  /// Bytes the EXEC + TRANS + change-edge tables of an (n x m) matrix
+  /// occupy — what a solver charges to MemComponent::kCostMatrix before
+  /// the precompute.
   static int64_t EstimateBytes(size_t num_segments, size_t num_configs) {
     return static_cast<int64_t>(
         (num_segments * num_configs +                 // EXEC
-         (num_segments + 1) * num_configs +           // prefix sums
          num_configs * num_configs +                  // TRANS
          num_configs * ChangeStride(num_configs)) *   // change edges
         sizeof(double));
@@ -83,17 +82,6 @@ class CostMatrix {
   /// EXEC(S_segment, candidates[config]).
   double Exec(size_t segment, size_t config) const {
     return exec_[segment * num_configs_ + config];
-  }
-  /// EXEC(S_begin ∪ ... ∪ S_{end-1}, candidates[config]), computed as
-  /// a difference of two precomputed per-config prefix sums (built by
-  /// Finalize()) — O(1) whatever the range width. Equal to the
-  /// segment-order forward sum up to floating-point re-association;
-  /// every caller that reports a schedule cost recomputes the total
-  /// through EvaluateScheduleCost, so the rounding difference never
-  /// reaches a reported cost.
-  double ExecRange(size_t begin, size_t end, size_t config) const {
-    return exec_prefix_[end * num_configs_ + config] -
-           exec_prefix_[begin * num_configs_ + config];
   }
   /// TRANS(candidates[from], candidates[to]).
   double Trans(size_t from, size_t to) const {
@@ -134,10 +122,10 @@ class CostMatrix {
     drop_ = std::move(drop);
   }
 
-  /// Builds the derived SoA tables (per-config EXEC prefix sums and
-  /// the change-edge table) from the raw cells. Must be called after
-  /// the fill and before ExecRange/ChangeTrans; PrecomputeCostMatrix
-  /// does this, so only hand-built matrices (tests) call it directly.
+  /// Builds the derived change-edge table from the raw TRANS cells.
+  /// Must be called after the fill and before ChangeTrans;
+  /// PrecomputeCostMatrix does this, so only hand-built matrices
+  /// (tests) call it directly.
   void Finalize();
 
   /// False when a budget expired mid-precompute, leaving some cells
@@ -153,10 +141,8 @@ class CostMatrix {
   bool complete_ = true;
   std::vector<double> exec_;   // [segment * num_configs + config]
   std::vector<double> trans_;  // [from * num_configs + to]
-  // Derived by Finalize():
-  // exec_prefix_[(s) * m + c] = sum of exec over segments [0, s).
-  std::vector<double> exec_prefix_;
-  // [from * ChangeStride(num_configs) + to], see ChangeTrans().
+  // Derived by Finalize(): [from * ChangeStride(num_configs) + to], see
+  // ChangeTrans().
   std::vector<double> change_trans_;
   std::vector<double> build_;  // [universe index]
   std::vector<double> drop_;   // [universe index]
@@ -245,8 +231,8 @@ class WhatIfEngine {
   /// Fills the dense EXEC matrix over all (segment, ConfigId) pairs
   /// and the TRANS matrix over all ConfigId pairs of the pinned
   /// `candidates` space, fanning the work out across `pool` (serial
-  /// when pool is null), then finalizes the SoA tables (prefix sums,
-  /// change-edge table). This is the single enumeration entry point:
+  /// when pool is null), then builds the change-edge table
+  /// (Finalize). This is the single enumeration entry point:
   /// the solvers never cost materialized Configuration vectors.
   ///
   /// Every configuration's shape-cost column is priced first — every

@@ -146,9 +146,6 @@ void Recorder::Close() {
 }
 
 void Recorder::WriterLoop() {
-  // Reused across iterations: its storage ping-pongs with ring_'s via
-  // the swap below, so neither side reallocates once warmed up.
-  std::vector<JournalRecord> batch;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     // Polling wait: Append() deliberately does not notify (see there),
@@ -174,15 +171,16 @@ void Recorder::WriterLoop() {
       continue;
     }
     const bool stopping = stop_;
-    batch.clear();
-    batch.swap(ring_);
+    // in_flight_ is empty here; its storage ping-pongs with ring_'s, so
+    // neither side reallocates once warmed up.
+    in_flight_.swap(ring_);
     const bool rotate = rotate_requested_;
     rotate_requested_ = false;
     const int64_t flush_ticket = flush_requested_;
     if (metric_ring_depth_ != nullptr) metric_ring_depth_->Set(0);
     lock.unlock();
 
-    for (JournalRecord& record : batch) {
+    for (const JournalRecord& record : in_flight_) {
       int64_t bytes = 0;
       const Status status = writer_.Append(record, &bytes);
       if (status.ok()) {
@@ -215,14 +213,15 @@ void Recorder::WriterLoop() {
     lock.lock();
     // The in-memory tail is maintained here, not in Append(): copying
     // the record's strings on the hot path costs every request an
-    // allocation + memcpy under mu_. Tail() unions tail_ with the
-    // still-pending ring_, so nothing is invisible in the meantime.
+    // allocation + memcpy under mu_. Tail() joins tail_, in_flight_
+    // and the still-pending ring_, so nothing is invisible meanwhile.
     if (options_.tail_frames > 0) {
-      for (JournalRecord& record : batch) {
+      for (JournalRecord& record : in_flight_) {
         tail_.push_back(std::move(record));
       }
       while (tail_.size() > options_.tail_frames) tail_.pop_front();
     }
+    in_flight_.clear();
     if (flushing && ring_.empty()) {
       flush_done_ = flush_ticket;
       done_cv_.notify_all();
@@ -292,9 +291,11 @@ std::string Recorder::StatusJson() const {
 
 std::vector<JournalRecord> Recorder::Tail() const {
   std::lock_guard<std::mutex> lock(mu_);
-  // tail_ holds what the writer has consumed; ring_ holds what it has
-  // not got to yet. Their concatenation is the true append order.
+  // tail_ holds what the writer has written, in_flight_ what it is
+  // writing, ring_ what it has not got to yet. Their concatenation is
+  // the true append order.
   std::vector<JournalRecord> out(tail_.begin(), tail_.end());
+  out.insert(out.end(), in_flight_.begin(), in_flight_.end());
   out.insert(out.end(), ring_.begin(), ring_.end());
   if (options_.tail_frames > 0 && out.size() > options_.tail_frames) {
     out.erase(out.begin(),

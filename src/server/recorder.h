@@ -129,6 +129,10 @@ class Recorder {
   /// an already-grown empty vector, so steady-state appends never
   /// allocate (a deque pays a chunk allocation every few pushes).
   std::vector<JournalRecord> ring_;
+  /// The batch the writer took out of ring_ and is writing. The writer
+  /// fills, drains and clears it under mu_ and only reads it while
+  /// unlocked, so Tail() can read it under mu_ meanwhile.
+  std::vector<JournalRecord> in_flight_;
   std::deque<JournalRecord> tail_;
   bool stop_ = false;
   bool rotate_requested_ = false;

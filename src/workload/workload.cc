@@ -14,36 +14,4 @@ std::vector<Segment> SegmentFixed(size_t total, size_t block_size) {
   return segments;
 }
 
-std::vector<Segment> SplitStagesBalanced(const std::vector<Segment>& stages,
-                                         size_t num_chunks) {
-  const size_t n = stages.size();
-  if (num_chunks == 0) num_chunks = 1;
-  if (num_chunks > n) num_chunks = n;
-  std::vector<Segment> chunks;
-  if (n == 0) return chunks;
-  chunks.reserve(num_chunks);
-  uint64_t total = 0;
-  for (const Segment& stage : stages) total += stage.size();
-  size_t begin = 0;
-  uint64_t cum = 0;
-  for (size_t t = 0; t < num_chunks; ++t) {
-    // Every chunk takes at least one stage, and leaves at least one
-    // stage per chunk still to cut.
-    size_t end = begin + 1;
-    cum += stages[begin].size();
-    const uint64_t target = (total * (t + 1)) / num_chunks;
-    const size_t max_end = n - (num_chunks - t - 1);
-    while (end < max_end && cum < target) {
-      cum += stages[end].size();
-      ++end;
-    }
-    // The last chunk absorbs whatever remains (zero-weight trailing
-    // stages would otherwise be dropped by the weight test).
-    if (t + 1 == num_chunks) end = n;
-    chunks.push_back(Segment{begin, end});
-    begin = end;
-  }
-  return chunks;
-}
-
 }  // namespace cdpd

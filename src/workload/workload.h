@@ -41,20 +41,6 @@ struct Workload {
 /// may be shorter). block_size must be > 0.
 std::vector<Segment> SegmentFixed(size_t total, size_t block_size);
 
-/// Groups `stages` (the solver's DP stages — fixed blocks or adaptive
-/// phases) into at most `num_chunks` consecutive runs of stages,
-/// balanced by *statement* weight: chunk t ends at the first stage
-/// whose cumulative statement count reaches t/num_chunks of the total.
-/// Returned segments index into `stages` (half-open stage-index
-/// ranges), exactly cover [0, stages.size()), and each holds at least
-/// one stage — so a chunk boundary never splits a stage, which is how
-/// segment-parallel solving respects adaptive_segmenter phase
-/// boundaries while still load-balancing variable-length phases.
-/// Deterministic; independent of any thread count. num_chunks is
-/// clamped to stages.size(); num_chunks == 0 yields one chunk.
-std::vector<Segment> SplitStagesBalanced(const std::vector<Segment>& stages,
-                                         size_t num_chunks);
-
 }  // namespace cdpd
 
 #endif  // CDPD_WORKLOAD_WORKLOAD_H_

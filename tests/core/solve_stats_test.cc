@@ -28,7 +28,6 @@ SolveStats MakeStats() {
   stats.candidate_evaluations = 9;
   stats.pruned_configs = 3;
   stats.segment_chunks = 6;
-  stats.stitch_window = 5;
   stats.deadline_hit = true;
   stats.best_effort = true;
   stats.peak_bytes_total = 4096;
@@ -52,7 +51,6 @@ TEST(SolveStatsTest, ToJsonEmitsEveryFieldWithMicrosecondRounding) {
   EXPECT_NE(json.find("\"candidate_evaluations\": 9"), std::string::npos);
   EXPECT_NE(json.find("\"pruned_configs\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"segment_chunks\": 6"), std::string::npos);
-  EXPECT_NE(json.find("\"stitch_window\": 5"), std::string::npos);
   EXPECT_NE(json.find("\"deadline_hit\": true"), std::string::npos);
   EXPECT_NE(json.find("\"best_effort\": true"), std::string::npos);
   EXPECT_NE(json.find("\"cpu_us\": 500000"), std::string::npos);
@@ -95,14 +93,12 @@ TEST(SolveStatsTest, AccumulatedSolvesSerializeTheirSums) {
   first.threads_used = 2;
   first.pruned_configs = 2;
   first.segment_chunks = 8;
-  first.stitch_window = 3;
   SolveStats second;
   second.wall_seconds = 0.5;
   second.costings = 50;
   second.threads_used = 4;
   second.pruned_configs = 3;
   second.segment_chunks = 4;
-  second.stitch_window = 5;
   first.PublishTo(&registry);
   second.PublishTo(&registry);
 
@@ -110,11 +106,10 @@ TEST(SolveStatsTest, AccumulatedSolvesSerializeTheirSums) {
   summed.Accumulate(second);
   const SolveStats back = SolveStats::FromSnapshot(registry.Snapshot());
   // The registry accumulates exactly like Accumulate: counters add,
-  // shape gauges (threads_used, segment_chunks, stitch_window) keep
-  // the max — so the JSON views agree.
+  // shape gauges (threads_used, segment_chunks) keep the max — so the
+  // JSON views agree.
   EXPECT_EQ(summed.pruned_configs, 5);
   EXPECT_EQ(summed.segment_chunks, 8);
-  EXPECT_EQ(summed.stitch_window, 5);
   EXPECT_EQ(back.ToJson(), summed.ToJson());
 }
 

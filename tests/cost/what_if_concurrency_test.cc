@@ -4,7 +4,6 @@
 // reference cell for cell, and it prices every (shape, configuration)
 // pair exactly once whatever the thread count or instrumentation.
 
-#include <cmath>
 #include <algorithm>
 #include <atomic>
 #include <memory>
@@ -298,20 +297,6 @@ TEST_F(WhatIfConcurrencyTest, PrecomputeWithProgressAndLoggerOnlyObserves) {
   EXPECT_NE(log.find("\"event\":\"whatif.precompute.end\""),
             std::string::npos);
   EXPECT_NE(log.find("\"complete\":true"), std::string::npos);
-}
-
-TEST_F(WhatIfConcurrencyTest, ExecRangeMatchesRangeCost) {
-  ThreadPool pool(2);
-  const CostMatrix matrix =
-      what_if_->PrecomputeCostMatrix(configs_, &pool).value();
-  for (size_t c = 0; c < configs_.size(); ++c) {
-    // ExecRange is a prefix-sum difference, so it matches the forward
-    // segment-order sum only up to floating-point re-association.
-    const double expected = what_if_->RangeCost(2, 6, configs_[c]);
-    EXPECT_NEAR(matrix.ExecRange(2, 6, c), expected,
-                1e-9 * std::max(1.0, std::abs(expected)));
-    EXPECT_EQ(matrix.ExecRange(3, 3, c), 0.0);
-  }
 }
 
 }  // namespace

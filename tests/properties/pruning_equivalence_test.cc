@@ -4,13 +4,12 @@
 //    with dominated (duplicate) configurations matches Solve() without
 //    pruning (the dominated configurations never win an ascending
 //    argmin tie, so even the heuristics are unaffected);
-//  * segment-parallel decomposition is cost-identical to the
-//    monolithic k-aware DP for any chunk count and any thread count.
+//  * a checkpointed k-aware solve (segmented.num_chunks >= 2) returns
+//    the one-block schedule and cost for any chunk and thread count.
 
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
-#include "core/segment_solver.h"
 #include "core/solver.h"
 #include "test_util.h"
 #include "workload/standard_workloads.h"
@@ -110,10 +109,10 @@ TEST(PruningEquivalenceTest, SegmentedSolveCostIdenticalToMonolithic) {
           options.segmented.num_chunks = chunks;
           auto seg = Solve(fixture->problem, options);
           ASSERT_TRUE(seg.ok()) << seg.status().ToString();
-          EXPECT_NEAR(seg->schedule.total_cost, mono->schedule.total_cost,
-                      1e-9 * mono->schedule.total_cost)
+          EXPECT_EQ(seg->schedule.total_cost, mono->schedule.total_cost)
               << "seed=" << seed << " k=" << k << " chunks=" << chunks
               << " threads=" << threads;
+          EXPECT_EQ(seg->schedule.configs, mono->schedule.configs);
           // Determinism across thread counts: the identical schedule,
           // not just the identical cost.
           if (threads > 1) {
@@ -145,8 +144,8 @@ TEST(PruningEquivalenceTest, PruningComposesWithSegmenting) {
   ASSERT_TRUE(combined.ok());
   EXPECT_GT(combined->stats.pruned_configs, 0);
   EXPECT_EQ(combined->stats.segment_chunks, 4);
-  EXPECT_NEAR(combined->schedule.total_cost, plain->schedule.total_cost,
-              1e-9 * plain->schedule.total_cost);
+  EXPECT_EQ(combined->schedule.configs, plain->schedule.configs);
+  EXPECT_EQ(combined->schedule.total_cost, plain->schedule.total_cost);
 }
 
 }  // namespace

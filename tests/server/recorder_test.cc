@@ -202,6 +202,26 @@ TEST(RecorderTest, TailKeepsTheMostRecentFramesOldestFirst) {
   rec.Close();
 }
 
+TEST(RecorderTest, TailIncludesTheBatchTheWriterIsWriting) {
+  // The writer takes the ring's records out under the lock and writes
+  // (and here fsyncs) them without it. A Tail() taken as soon as a
+  // record is counted written, before the writer moves it into the
+  // tail, must still end with it.
+  Recorder::Options options = TestOptions("rec_tail_in_flight");
+  options.fsync_every_frames = 1;
+  auto recorder = Recorder::Open(std::move(options), nullptr);
+  ASSERT_TRUE(recorder.ok());
+  Recorder& rec = *recorder.value();
+  for (int i = 0; i < 100; ++i) {
+    rec.Append(SampleRecord(i));
+    while (rec.frames_written() <= i) std::this_thread::yield();
+    const std::vector<JournalRecord> tail = rec.Tail();
+    ASSERT_FALSE(tail.empty()) << i;
+    EXPECT_EQ(tail.back().request_id, "rec-" + std::to_string(i));
+  }
+  rec.Close();
+}
+
 TEST(RecorderTest, StatusJsonDescribesTheLiveRecorder) {
   auto recorder = Recorder::Open(TestOptions("rec_status"), nullptr);
   ASSERT_TRUE(recorder.ok());
