@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <string>
@@ -206,7 +207,10 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       if (!take_int(&block) || block <= 0) return false;
       args->block = static_cast<size_t>(block);
     } else if (name == "--threads") {
-      if (!take_int(&args->threads) || args->threads < 0) return false;
+      if (!take_int(&args->threads) || args->threads < 0 ||
+          args->threads > std::numeric_limits<int>::max()) {
+        return false;
+      }
     } else if (name == "--rows") {
       if (!take_int(&args->rows) || args->rows <= 0) return false;
     } else if (name == "--deadline-ms") {
@@ -219,7 +223,10 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
         return false;
       }
     } else if (name == "--segments") {
-      if (!take_int(&args->segments) || args->segments < 0) return false;
+      if (!take_int(&args->segments) || args->segments < 0 ||
+          args->segments > std::numeric_limits<int>::max()) {
+        return false;
+      }
     } else if (name == "--method") {
       if (!take_string(&args->method)) return false;
     } else if (name == "--metrics-out") {

@@ -20,8 +20,8 @@ namespace cdpd {
 enum class MemComponent : int {
   kCostMatrix = 0,     // What-if dense EXEC/TRANS tables.
   kKAwareTable,        // k-aware DP dist/next/parent layers.
-  kSequenceGraph,      // Explicit sequence graph + unconstrained DP.
-  kRankingQueue,       // Path ranker per-node path/candidate heaps.
+  kSequenceGraph,      // Unset-k (plain sequence graph) DP table.
+  kRankingQueue,       // Path ranker per-node state and path heaps.
   kCandidates,         // GREEDY-SEQ reduced candidate set.
   kMergingTable,       // Design-merging penalty tables.
 };

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <string>
 
 namespace cdpd {
@@ -84,7 +85,9 @@ void ThreadPool::EnableLogging(Logger* logger) {
 int ThreadPool::DefaultThreadCount() {
   if (const char* env = std::getenv("CDPD_THREADS")) {
     const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 1) return static_cast<int>(parsed);
+    if (parsed >= 1 && parsed <= std::numeric_limits<int>::max()) {
+      return static_cast<int>(parsed);
+    }
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);

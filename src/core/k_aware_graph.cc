@@ -13,11 +13,13 @@
 namespace cdpd {
 
 KAwareGraphSize ComputeKAwareGraphSize(int64_t num_stages, int64_t num_configs,
-                                       int64_t k) {
+                                       std::optional<int64_t> k) {
   KAwareGraphSize size;
   // Saturating throughout: k + 1 alone overflows for k = INT64_MAX,
-  // and the node/edge products overflow long before that.
-  const int64_t layers = SaturatingAdd(k, 1);
+  // and the node/edge products overflow long before that. An unset k
+  // has one layer, and its change edges stay inside it.
+  const int64_t layers = k.has_value() ? SaturatingAdd(*k, 1) : 1;
+  const int64_t change_layers = k.has_value() ? layers - 1 : 1;
   size.nodes = SaturatingAdd(
       SaturatingMul(SaturatingMul(num_stages, layers), num_configs), 2);
   if (num_stages == 0) {
@@ -35,7 +37,7 @@ KAwareGraphSize ComputeKAwareGraphSize(int64_t num_stages, int64_t num_configs,
       SaturatingMul(num_configs, num_configs > 0 ? num_configs - 1 : 0);
   const int64_t per_gap =
       SaturatingAdd(SaturatingMul(layers, num_configs),
-                    SaturatingMul(layers - 1, change_edges));
+                    SaturatingMul(change_layers, change_edges));
   edges = SaturatingAdd(edges, SaturatingMul(num_stages - 1, per_gap));
   // Destination edges: from every node of the last stage.
   edges = SaturatingAdd(edges, SaturatingMul(layers, num_configs));

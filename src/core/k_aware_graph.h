@@ -15,8 +15,8 @@
 
 namespace cdpd {
 
-/// Size of a k-aware sequence graph (reported by the Figure 2 bench;
-/// the solver itself runs the DP without materializing nodes).
+/// Size of a (k-aware) sequence graph (reported by the Figure 1 and 2
+/// bench; no solver materializes the graph).
 struct KAwareGraphSize {
   int64_t nodes = 0;  // Stage/layer states plus source and destination.
   int64_t edges = 0;  // Stay-in-layer + change-to-next-layer edges.
@@ -26,14 +26,18 @@ struct KAwareGraphSize {
 /// layers over n stages and `num_configs` candidate configurations
 /// (Figure 2's object): each stage has a node per (layer, config);
 /// a node at layer l has one stay edge per layer-l successor and
-/// (num_configs - 1) change edges into layer l+1.
+/// (num_configs - 1) change edges into layer l+1. An unset k is the
+/// plain sequence graph of Figure 1, the way SolveKAware reads it: one
+/// layer whose change edges stay inside it, so n * m + 2 nodes and
+/// (n - 1) * m^2 + 2m edges.
 ///
 /// Counts saturate at INT64_MAX instead of overflowing — the product
 /// n * (k+1) * |C|^2 exceeds int64 for plausible inputs (e.g.
 /// k = INT64_MAX), and a reporting function must not wrap to a
 /// nonsense (possibly negative) size. Inputs must be >= 0.
 KAwareGraphSize ComputeKAwareGraphSize(int64_t num_stages,
-                                       int64_t num_configs, int64_t k);
+                                       int64_t num_configs,
+                                       std::optional<int64_t> k);
 
 /// Predicted bytes of SolveKAware's DP working set over `candidates`
 /// with `num_blocks` checkpoint blocks — the dist/next arrays and the
@@ -74,7 +78,8 @@ int64_t PredictKAwareTableBytes(int64_t num_stages,
 /// in O(n * |C|^2) (or O(n * u * 2^u) on the lattice). It records its
 /// spans, log events and progress under "unconstrained.*" instead of
 /// "kaware.*" and charges its table to kSequenceGraph instead of
-/// kKAwareTable; everything else below holds for both.
+/// kKAwareTable (the only table that class now counts); everything
+/// else below holds for both.
 ///
 /// The solve first precomputes the dense EXEC/TRANS cost matrices
 /// (WhatIfEngine::PrecomputeCostMatrix, fanned out across `pool` when

@@ -3,29 +3,91 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/math_util.h"
 #include "common/stopwatch.h"
+#include "core/k_aware_graph.h"
+#include "core/relax_stage.h"
 
 namespace cdpd {
 
-PathRanker::PathRanker(const SequenceGraph& graph, const Budget* budget,
-                       ResourceTracker* tracker)
-    : graph_(&graph), budget_(budget), tree_(ComputeShortestPaths(graph)) {
+PathRanker::PathRanker(const DesignProblem& problem, const CostMatrix& matrix,
+                       const Budget* budget, ResourceTracker* tracker)
+    : problem_(&problem),
+      matrix_(&matrix),
+      budget_(budget),
+      num_configs_(problem.candidates.size()),
+      destination_(static_cast<NodeId>(problem.num_segments() *
+                                       problem.candidates.size())) {
+  const WhatIfEngine& what_if = *problem.what_if;
+  const size_t n = problem.num_segments();
+  const size_t m = num_configs_;
+  first_.resize(static_cast<size_t>(destination_) + 1);
   nodes_.assign(
-      static_cast<size_t>(graph.num_nodes()),
+      first_.size(),
       NodeState(TrackingAllocator<PathRef>(tracker,
                                            MemComponent::kRankingQueue)));
-  state_reservation_ = ScopedReservation(
-      tracker, MemComponent::kRankingQueue,
-      static_cast<int64_t>(nodes_.size() * sizeof(NodeState)));
-  // π^1 of every reachable node comes from the shortest-path tree.
-  for (size_t v = 0; v < nodes_.size(); ++v) {
-    if (tree_.dist[v] == std::numeric_limits<double>::infinity()) continue;
-    PathRef first;
-    first.cost = tree_.dist[v];
-    first.pred_edge = tree_.parent_edge[v];
-    first.pred_index = first.pred_edge < 0 ? -1 : 0;
-    nodes_[v].paths.push_back(first);
+  if (problem.final_config.has_value()) {
+    final_trans_.resize(m);
+    for (size_t c = 0; c < m; ++c) {
+      final_trans_[c] =
+          what_if.TransitionCost(problem.candidates[c], *problem.final_config);
+    }
   }
+  if (n == 0) {  // The destination's one in-edge comes from the source.
+    if (problem.final_config.has_value()) {
+      first_[0].cost =
+          what_if.TransitionCost(problem.initial, *problem.final_config);
+    }
+    return;
+  }
+
+  // π^1 stage by stage: the scan kernel's unset-k values are the
+  // cheapest ranked costs, and its back-pointers their predecessors.
+  std::vector<double> dist(m);
+  std::vector<double> next(m);
+  std::vector<DpParent> parent(m);
+  for (size_t c = 0; c < m; ++c) {
+    dist[c] = what_if.TransitionCost(problem.initial, problem.candidates[c]) +
+              matrix.Exec(0, c);
+    first_[c].cost = dist[c];
+  }
+  RelaxKernel kernel(matrix, problem.candidates, /*layers=*/1,
+                     /*count_changes=*/false, RelaxPath::kScan);
+  for (size_t stage = 1; stage < n; ++stage) {
+    kernel.RelaxStage(stage, dist.data(), next.data(), parent.data());
+    for (size_t c = 0; c < m; ++c) {
+      first_[stage * m + c] = PathRef{
+          next[c], static_cast<NodeId>((stage - 1) * m + parent[c].config), 0};
+    }
+    std::swap(dist, next);
+  }
+  // The destination: the cheapest last-stage node, lowest c on a tie.
+  PathRef& best = first_[static_cast<size_t>(destination_)];
+  best.cost = std::numeric_limits<double>::infinity();
+  for (size_t c = 0; c < m; ++c) {
+    const auto node = static_cast<NodeId>((n - 1) * m + c);
+    const double cost = Extend(dist[c], node, destination_);
+    if (cost < best.cost) best = PathRef{cost, node, 0};
+  }
+}
+
+int64_t PathRanker::StateBytes(size_t num_stages, size_t num_configs) {
+  const int64_t nodes = SaturatingAdd(
+      SaturatingMul(static_cast<int64_t>(num_stages),
+                    static_cast<int64_t>(num_configs)),
+      1);
+  return SaturatingMul(
+      nodes, static_cast<int64_t>(sizeof(PathRef) + sizeof(NodeState)));
+}
+
+double PathRanker::Extend(double cost, NodeId pred, NodeId node) const {
+  const size_t p = static_cast<size_t>(pred) % num_configs_;
+  if (node == destination_) {
+    return final_trans_.empty() ? cost : cost + final_trans_[p];
+  }
+  const size_t stage = static_cast<size_t>(node) / num_configs_;
+  const size_t c = static_cast<size_t>(node) % num_configs_;
+  return (cost + matrix_->Trans(p, c)) + matrix_->Exec(stage, c);
 }
 
 void PathRanker::PushCandidate(NodeState* state, PathRef ref) {
@@ -36,42 +98,41 @@ void PathRanker::PushCandidate(NodeState* state, PathRef ref) {
                  });
 }
 
-bool PathRanker::EnsurePath(SequenceGraph::NodeId node, size_t rank) {
+bool PathRanker::EnsurePath(NodeId node, size_t rank) {
   NodeState& state = nodes_[static_cast<size_t>(node)];
-  while (state.paths.size() <= rank) {
-    // The source has exactly one path (the graph is acyclic).
-    if (node == graph_->source()) return false;
-    if (state.paths.empty()) return false;  // Unreachable node.
+  while (state.paths.size() < rank) {
+    // A path from the source is the node's only one (a stage-0 node,
+    // or the destination of an empty workload).
+    if (first_[static_cast<size_t>(node)].pred < 0) return false;
     if (BudgetExpired(budget_)) return false;
 
-    // One-time: alternative predecessors of π^1 become candidates.
+    // One-time: alternative predecessors of π^1 become candidates. The
+    // in-edges of a stage node come from every node of the stage
+    // before; those of the destination from every last-stage node.
     if (!state.initialized_alternatives) {
       state.initialized_alternatives = true;
-      const int32_t tree_edge = state.paths.front().pred_edge;
-      for (int32_t edge_id : graph_->InEdgeIds(node)) {
-        if (edge_id == tree_edge) continue;
-        const SequenceGraph::Edge& edge = graph_->edge(edge_id);
-        const NodeState& pred = nodes_[static_cast<size_t>(edge.from)];
-        if (pred.paths.empty()) continue;  // Unreachable predecessor.
+      const NodeId tree_pred = first_[static_cast<size_t>(node)].pred;
+      const NodeId stage_begin =
+          tree_pred - tree_pred % static_cast<NodeId>(num_configs_);
+      for (size_t p = 0; p < num_configs_; ++p) {
+        const NodeId pred = stage_begin + static_cast<NodeId>(p);
+        if (pred == tree_pred) continue;
         PushCandidate(&state,
-                      PathRef{pred.paths.front().cost + edge.weight, edge_id,
-                              0});
+                      PathRef{Extend(first_[static_cast<size_t>(pred)].cost,
+                                     pred, node),
+                              pred, 0});
       }
     }
 
     // The previously selected path spawns one new candidate: the next
     // path of its predecessor, extended by the same edge.
-    const PathRef& last = state.paths.back();
-    if (last.pred_edge >= 0) {
-      const SequenceGraph::Edge& edge = graph_->edge(last.pred_edge);
-      const size_t next_rank = static_cast<size_t>(last.pred_index) + 1;
-      if (EnsurePath(edge.from, next_rank)) {
-        const NodeState& pred = nodes_[static_cast<size_t>(edge.from)];
-        PushCandidate(&state,
-                      PathRef{pred.paths[next_rank].cost + edge.weight,
-                              last.pred_edge,
-                              static_cast<int64_t>(next_rank)});
-      }
+    const PathRef last = Path(node, state.paths.size());
+    const size_t next_rank = static_cast<size_t>(last.pred_index) + 1;
+    if (EnsurePath(last.pred, next_rank)) {
+      PushCandidate(&state,
+                    PathRef{Extend(Path(last.pred, next_rank).cost, last.pred,
+                                   node),
+                            last.pred, static_cast<int64_t>(next_rank)});
     }
 
     // Expiry is monotone, so re-checking here distinguishes a
@@ -91,24 +152,20 @@ bool PathRanker::EnsurePath(SequenceGraph::NodeId node, size_t rank) {
 }
 
 std::optional<RankedPath> PathRanker::Next() {
-  const SequenceGraph::NodeId dest = graph_->destination();
   const auto rank = static_cast<size_t>(paths_yielded_);
-  if (!EnsurePath(dest, rank)) return std::nullopt;
+  if (!EnsurePath(destination_, rank)) return std::nullopt;
   ++paths_yielded_;
 
+  // Backtrack through (node, rank) pairs, one stage per step.
+  const PathRef* ref = &Path(destination_, rank);
   RankedPath path;
-  path.cost = nodes_[static_cast<size_t>(dest)].paths[rank].cost;
-  // Backtrack through (node, rank) pairs.
-  SequenceGraph::NodeId node = dest;
-  size_t node_rank = rank;
-  for (;;) {
-    path.nodes.push_back(node);
-    const PathRef& ref = nodes_[static_cast<size_t>(node)].paths[node_rank];
-    if (ref.pred_edge < 0) break;
-    node = graph_->edge(ref.pred_edge).from;
-    node_rank = static_cast<size_t>(ref.pred_index);
+  path.cost = ref->cost;
+  path.configs.resize(problem_->num_segments());
+  for (size_t stage = path.configs.size(); stage-- > 0;) {
+    path.configs[stage] =
+        static_cast<ConfigId>(static_cast<size_t>(ref->pred) % num_configs_);
+    ref = &Path(ref->pred, static_cast<size_t>(ref->pred_index));
   }
-  std::reverse(path.nodes.begin(), path.nodes.end());
   return path;
 }
 
@@ -128,30 +185,39 @@ Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
   const int64_t costings_before = what_if.costings();
   SolveStats local_stats;
   local_stats.threads_used = pool != nullptr ? pool->num_threads() : 1;
-  // Parallel phase: the dense cost tables. The graph build and the
-  // path enumeration below are then pure lookups.
-  CDPD_LOG(logger, LogLevel::kInfo, "ranking.start",
-           LogField("segments", problem.num_segments()),
-           LogField("candidates", problem.candidates.size()),
-           LogField("k", k), LogField("max_paths", max_paths));
+  // Node ids are int32: reject a graph that would not be addressable
+  // before reserving or allocating anything.
+  const size_t n = problem.num_segments();
+  const size_t m = problem.candidates.size();
+  const int64_t num_nodes =
+      ComputeKAwareGraphSize(static_cast<int64_t>(n), static_cast<int64_t>(m),
+                             std::nullopt)
+          .nodes;
+  if (num_nodes > std::numeric_limits<int32_t>::max()) {
+    return Status::InvalidArgument(
+        "sequence graph over " + std::to_string(n) + " segments and " +
+        std::to_string(m) +
+        " candidate configurations exceeds the 32-bit node id space");
+  }
+  // Parallel phase: the dense cost tables. The path enumeration below
+  // is then pure lookups.
+  CDPD_LOG(logger, LogLevel::kInfo, "ranking.start", LogField("segments", n),
+           LogField("candidates", m), LogField("k", k),
+           LogField("max_paths", max_paths));
 
-  // Charge the dense cost tables and the materialized graph before
+  // Charge the dense cost tables and the ranker's per-node state before
   // building either; a refusal skips the enumeration entirely and
   // degrades to the cheapest static schedule (the same last-resort
   // fallback a failed enumeration reaches below).
   ScopedReservation matrix_reservation = ScopedReservation::Try(
-      tracker, MemComponent::kCostMatrix,
-      CostMatrix::EstimateBytes(problem.num_segments(),
-                                problem.candidates.size()));
-  ScopedReservation graph_reservation;
+      tracker, MemComponent::kCostMatrix, CostMatrix::EstimateBytes(n, m));
+  ScopedReservation ranker_reservation;
   if (matrix_reservation.ok()) {
-    graph_reservation = ScopedReservation::Try(
-        tracker, MemComponent::kSequenceGraph,
-        EstimateSequenceGraphBytes(
-            static_cast<int64_t>(problem.num_segments()),
-            static_cast<int64_t>(problem.candidates.size())));
+    ranker_reservation =
+        ScopedReservation::Try(tracker, MemComponent::kRankingQueue,
+                               PathRanker::StateBytes(n, m));
   }
-  if (!matrix_reservation.ok() || !graph_reservation.ok()) {
+  if (!matrix_reservation.ok() || !ranker_reservation.ok()) {
     CDPD_LOG(logger, LogLevel::kWarn, "ranking.memory_limit",
              LogField("limit_bytes", tracker->limit_bytes()),
              LogField("fallback", "best-static"));
@@ -181,10 +247,8 @@ Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
         "budget expired during the what-if precompute, before any "
         "feasible schedule could be priced");
   }
-  CDPD_ASSIGN_OR_RETURN(SequenceGraph graph,
-                        SequenceGraph::Build(problem, &matrix));
-  local_stats.nodes_expanded = graph.num_nodes();
-  PathRanker ranker(graph, budget, tracker);
+  local_stats.nodes_expanded = num_nodes;
+  PathRanker ranker(problem, matrix, budget, tracker);
   TraceSpan enumerate_span(tracer, "ranking.enumerate", "solver");
   const auto finish = [&] {
     enumerate_span.set_arg(local_stats.paths_enumerated);
@@ -204,15 +268,19 @@ Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
     std::optional<RankedPath> path = ranker.Next();
     if (!path.has_value()) break;  // Ranking exhausted (or expired).
     ++local_stats.paths_enumerated;
-    if (graph.PathChanges(path->nodes) <= k) {
-      DesignSchedule schedule;
-      schedule.configs = graph.PathConfigs(path->nodes);
+    DesignSchedule schedule;
+    schedule.configs.reserve(n);
+    for (const ConfigId id : path->configs) {
+      schedule.configs.push_back(problem.candidates[id]);
+    }
+    const int64_t changes = CountChanges(problem, schedule.configs);
+    if (changes <= k) {
       schedule.total_cost = path->cost;
       ReportProgress(progress, "ranking.enumerate", 1.0, path->cost);
       CDPD_LOG(logger, LogLevel::kInfo, "ranking.end",
                LogField("cost", path->cost),
                LogField("paths_enumerated", local_stats.paths_enumerated),
-               LogField("changes", graph.PathChanges(path->nodes)));
+               LogField("changes", changes));
       finish();
       return schedule;
     }

@@ -1,6 +1,7 @@
 #include "server/advisor_service.h"
 
 #include <cstdlib>
+#include <limits>
 #include <span>
 #include <utility>
 
@@ -157,7 +158,8 @@ Result<RecommendRequest> ParseRecommendRequest(std::string_view text) {
       }
     } else if (key == "chunks") {
       int64_t chunks = 0;
-      if (!ParseInt64Strict(value, &chunks) || chunks < 0) {
+      if (!ParseInt64Strict(value, &chunks) || chunks < 0 ||
+          chunks > std::numeric_limits<int>::max()) {
         return Status::InvalidArgument("malformed chunks '" +
                                        std::string(value) + "'");
       }

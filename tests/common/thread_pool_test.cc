@@ -20,7 +20,13 @@ TEST(ThreadPoolTest, DefaultThreadCountHonorsEnvironment) {
   ASSERT_EQ(setenv("CDPD_THREADS", "junk", 1), 0);
   EXPECT_GE(ThreadPool::DefaultThreadCount(), 1);
   ASSERT_EQ(unsetenv("CDPD_THREADS"), 0);
-  EXPECT_GE(ThreadPool::DefaultThreadCount(), 1);
+  const int hardware = ThreadPool::DefaultThreadCount();
+  EXPECT_GE(hardware, 1);
+  // A count past int is ignored like a non-positive one; it used to
+  // wrap (2^32 + 1 read as 1).
+  ASSERT_EQ(setenv("CDPD_THREADS", "4294967297", 1), 0);
+  EXPECT_EQ(ThreadPool::DefaultThreadCount(), hardware);
+  ASSERT_EQ(unsetenv("CDPD_THREADS"), 0);
 }
 
 TEST(ThreadPoolTest, SubmitRunsTasks) {

@@ -172,7 +172,9 @@ void ExpectSolvedAttributionIsExact(int32_t max_per_config) {
   size_t previous_start = 0;
   for (size_t i = 0; i < report.transitions.size(); ++i) {
     const ExplainTransition& t = report.transitions[i];
-    if (i > 0) EXPECT_GT(t.segment, previous_start);
+    if (i > 0) {
+      EXPECT_GT(t.segment, previous_start);
+    }
     previous_start = t.segment;
     EXPECT_NE(t.from, t.to);
     EXPECT_GE(t.built.size() + t.dropped.size(), 1u);
@@ -294,7 +296,9 @@ TEST(ExplainTest, FinalDestinationConstraintIsAttributedAsFinal) {
   }
   // Every non-final transition still covers a non-empty run.
   for (const ExplainTransition& t : report.transitions) {
-    if (t.kind != "final") EXPECT_GT(t.run_end, t.segment);
+    if (t.kind != "final") {
+      EXPECT_GT(t.run_end, t.segment);
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include "core/k_aware_graph.h"
 
 #include <limits>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,27 @@ TEST(KAwareGraphTest, GraphSizeFormulas) {
   // Edges: source->2, per stage gap: 3 layers * 2 stay + 2 layer-gaps
   // * 2 change, dest<-3*2. Two gaps between stages.
   EXPECT_EQ(size.edges, 2 + 2 * (3 * 2 + 2 * 2) + 3 * 2);
+}
+
+TEST(KAwareGraphTest, SequenceGraphSizeFigure1Instance) {
+  // Figure 1: n = 3 statements, one candidate index -> 2
+  // configurations: |V| = 8, |E| = 12.
+  const KAwareGraphSize size = ComputeKAwareGraphSize(3, 2, std::nullopt);
+  EXPECT_EQ(size.nodes, 8);
+  EXPECT_EQ(size.edges, 12);
+}
+
+TEST(KAwareGraphTest, SequenceGraphSizeMatchesPaperFormulas) {
+  // Figure 1's accounting: |V| = n*2^m + 2, |E| = (n-1)*2^{2m} + 2^{m+1}
+  // (with "2^m" generalized to the candidate-configuration count m).
+  for (const int64_t n : {1, 2, 3, 30}) {
+    for (const int64_t m : {1, 2, 7, 64}) {
+      const KAwareGraphSize size = ComputeKAwareGraphSize(n, m, std::nullopt);
+      EXPECT_EQ(size.nodes, n * m + 2) << "n " << n << " m " << m;
+      EXPECT_EQ(size.edges, (n - 1) * m * m + 2 * m)
+          << "n " << n << " m " << m;
+    }
+  }
 }
 
 TEST(KAwareGraphTest, GraphSizeGrowsLinearlyInK) {

@@ -75,6 +75,44 @@ TEST(SolverMemoryTest, UnconstrainedSolveAlsoTracks) {
             0);
 }
 
+TEST(SolverMemoryTest, RankingChargesNothingToTheSequenceGraph) {
+  // The ranking walks the implicit graph: its state is the ranking
+  // queue, and the sequence-graph class holds only the unset-k DP table.
+  auto fixture = MakeRandomProblem(/*seed=*/3, /*num_segments=*/4,
+                                   /*block_size=*/10);
+  const SolveOptions options =
+      BaseOptions(*fixture, OptimizerMethod::kRanking, 2);
+  const SolveResult result = Solve(fixture->problem, options).value();
+  EXPECT_EQ(result.stats.component_peak_bytes[static_cast<size_t>(
+                MemComponent::kSequenceGraph)],
+            0);
+  EXPECT_GT(result.stats.component_peak_bytes[static_cast<size_t>(
+                MemComponent::kRankingQueue)],
+            0);
+}
+
+TEST(SolverMemoryTest, RankingRefusedItsStateStaysWithinTheLimit) {
+  // Room for the cost matrix but not for the ranker's per-node state:
+  // the ranking must refuse that reservation before allocating and
+  // answer with the flagged best static schedule, inside the limit.
+  constexpr size_t kStages = 2000;
+  auto fixture = MakeRandomProblem(/*seed=*/21, kStages, /*block_size=*/2);
+  const size_t m = fixture->problem.candidates.size();
+  ASSERT_EQ(m, 7u);
+  SolveOptions options = BaseOptions(*fixture, OptimizerMethod::kRanking, 2);
+  options.memory_limit_bytes = CostMatrix::EstimateBytes(kStages, m) + 65536;
+  const SolveResult result = Solve(fixture->problem, options).value();
+  EXPECT_TRUE(result.stats.memory_limit_hit);
+  EXPECT_TRUE(result.stats.best_effort);
+  EXPECT_TRUE(result.stats.deadline_hit);
+  EXPECT_EQ(result.stats.paths_enumerated, 0);
+  EXPECT_LE(result.stats.peak_bytes_total, *options.memory_limit_bytes);
+  const DesignSchedule fallback =
+      BestStaticSchedule(fixture->problem, 2).value();
+  EXPECT_EQ(result.schedule.configs, fallback.configs);
+  EXPECT_EQ(result.schedule.total_cost, fallback.total_cost);
+}
+
 TEST(SolverMemoryTest, TinyLimitDegradesToValidBestEffortEverywhere) {
   auto fixture = MakeRandomProblem(/*seed=*/3, /*num_segments=*/4,
                                    /*block_size=*/10);

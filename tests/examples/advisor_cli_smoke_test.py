@@ -84,6 +84,12 @@ class AdvisorCliSmokeTest(unittest.TestCase):
     def test_negative_block_fails(self):
         self.assert_usage_error(self.run_cli("--block", "-3"))
 
+    def test_counts_past_int_fail(self):
+        # 2^32 + 1 used to wrap to 1 thread (or 1 checkpoint block).
+        for flag in ("--threads", "--segments"):
+            with self.subTest(flag=flag):
+                self.assert_usage_error(self.run_cli(flag, "4294967297"))
+
 
 if __name__ == "__main__":
     unittest.main()

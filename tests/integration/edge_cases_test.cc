@@ -2,6 +2,9 @@
 // suites — boundary inputs, degenerate problem sizes, and interactions
 // between features added on top of the paper.
 
+#include <set>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/stopwatch.h"
@@ -111,8 +114,8 @@ TEST(OptimizerEdgeCases, SingleSegmentProblemAllSolversAgree) {
   ASSERT_TRUE(unconstrained.ok());
   ASSERT_TRUE(k0.ok());
   ASSERT_TRUE(ranked.ok());
-  EXPECT_NEAR(unconstrained->total_cost, k0->total_cost, 1e-9);
-  EXPECT_NEAR(unconstrained->total_cost, ranked->total_cost, 1e-9);
+  EXPECT_EQ(unconstrained->total_cost, k0->total_cost);
+  EXPECT_EQ(unconstrained->total_cost, ranked->total_cost);
 }
 
 TEST(OptimizerEdgeCases, KFarLargerThanSegments) {
@@ -148,14 +151,21 @@ TEST(OptimizerEdgeCases, RankingHandlesTiedEdgeWeights) {
                        fixture->segments);
   fixture->problem.what_if = &what_if;
   fixture->problem.candidates = fixture->problem.candidates.Prefix(3);
-  auto graph = SequenceGraph::Build(fixture->problem);
-  ASSERT_TRUE(graph.ok());
-  PathRanker ranker(*graph);
+  const CostMatrix matrix =
+      what_if.PrecomputeCostMatrix(fixture->problem.candidates).value();
+  PathRanker ranker(fixture->problem, matrix);
+  std::set<std::vector<ConfigId>> seen;
   double previous = -1;
   int count = 0;
   while (auto path = ranker.Next()) {
-    EXPECT_GE(path->cost, previous - 1e-9);
+    EXPECT_GE(path->cost, previous);
     previous = path->cost;
+    EXPECT_TRUE(seen.insert(path->configs).second) << "duplicate path";
+    std::vector<Configuration> configs;
+    for (const ConfigId id : path->configs) {
+      configs.push_back(fixture->problem.candidates[id]);
+    }
+    EXPECT_EQ(path->cost, EvaluateScheduleCost(fixture->problem, configs));
     ++count;
   }
   EXPECT_EQ(count, 27);

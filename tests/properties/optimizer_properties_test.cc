@@ -47,8 +47,8 @@ TEST_P(OptimizerAgreementTest, OptimalSolversAgreeForEveryK) {
     ASSERT_TRUE(graph.ok()) << "k=" << k;
     ASSERT_TRUE(ranked.ok()) << "k=" << k;
 
-    EXPECT_NEAR(brute->total_cost, graph->total_cost, 1e-6) << "k=" << k;
-    EXPECT_NEAR(brute->total_cost, ranked->total_cost, 1e-6) << "k=" << k;
+    EXPECT_EQ(brute->total_cost, graph->total_cost) << "k=" << k;
+    EXPECT_EQ(brute->total_cost, ranked->total_cost) << "k=" << k;
 
     EXPECT_TRUE(ValidateSchedule(fixture->problem, *graph, k).ok());
     EXPECT_TRUE(ValidateSchedule(fixture->problem, *ranked, k).ok());
@@ -126,8 +126,8 @@ TEST_P(OptimizerAgreementTest, InitialChangePolicyAgreesAcrossSolvers) {
     ASSERT_TRUE(brute.ok());
     ASSERT_TRUE(graph.ok());
     ASSERT_TRUE(ranked.ok());
-    EXPECT_NEAR(brute->total_cost, graph->total_cost, 1e-6) << "k=" << k;
-    EXPECT_NEAR(brute->total_cost, ranked->total_cost, 1e-6) << "k=" << k;
+    EXPECT_EQ(brute->total_cost, graph->total_cost) << "k=" << k;
+    EXPECT_EQ(brute->total_cost, ranked->total_cost) << "k=" << k;
   }
 }
 
@@ -148,8 +148,8 @@ TEST_P(OptimizerAgreementTest, ForcedFinalConfigAgreesAcrossSolvers) {
     ASSERT_TRUE(brute.ok());
     ASSERT_TRUE(graph.ok());
     ASSERT_TRUE(ranked.ok());
-    EXPECT_NEAR(brute->total_cost, graph->total_cost, 1e-6) << "k=" << k;
-    EXPECT_NEAR(brute->total_cost, ranked->total_cost, 1e-6) << "k=" << k;
+    EXPECT_EQ(brute->total_cost, graph->total_cost) << "k=" << k;
+    EXPECT_EQ(brute->total_cost, ranked->total_cost) << "k=" << k;
   }
 }
 

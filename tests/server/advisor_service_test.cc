@@ -138,6 +138,8 @@ TEST(ParseRecommendRequestTest, RejectsTyposInsteadOfDefaulting) {
       "method=simulated-anneal",   // unknown method
       "prune=maybe",               // non-boolean
       "chunks=-1",                 // negative chunk count
+      "chunks=2147483648",         // past int: used to wrap to -2^31
+      "chunks=4294967298",         // past int: used to wrap to 2
       "apply=2",                   // non-boolean
   };
   for (const char* payload : bad) {

@@ -78,6 +78,10 @@ class AdvisorServerFlagsTest(unittest.TestCase):
     def test_port_rejects_out_of_range(self):
         self.assert_usage_error(self.run_server("--port", "70000"))
 
+    def test_threads_rejects_counts_past_int(self):
+        # 2^32 + 1 used to wrap to a one-thread pool.
+        self.assert_usage_error(self.run_server("--threads", "4294967297"))
+
 
 if __name__ == "__main__":
     unittest.main()

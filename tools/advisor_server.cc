@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -142,7 +143,10 @@ bool ParseArgs(int argc, char** argv, ServerCliArgs* args) {
     } else if (arg == "--window") {
       if (!next(&args->window) || args->window < 0) return false;
     } else if (arg == "--threads") {
-      if (!next(&args->threads) || args->threads < 0) return false;
+      if (!next(&args->threads) || args->threads < 0 ||
+          args->threads > std::numeric_limits<int>::max()) {
+        return false;
+      }
     } else if (arg == "--deadline-ms") {
       if (!next(&args->deadline_ms) || args->deadline_ms < 0) return false;
     } else if (arg == "--memory-limit-bytes") {
