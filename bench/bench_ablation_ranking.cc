@@ -64,8 +64,10 @@ void Run(bench_util::BenchReport* report) {
       auto graph = Solve(problem, graph_options);
       const double graph_time = graph_watch.ElapsedSeconds();
 
-      const std::string point = "s" + std::to_string(segments.size()) +
-                                "_k" + std::to_string(k);
+      std::string point = "s";
+      point += std::to_string(segments.size());
+      point += "_k";
+      point += std::to_string(k);
       if (ranked.ok()) {
         report->AddCase("ranking_" + point, rank_time, ranked->stats);
       }

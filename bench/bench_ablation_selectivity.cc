@@ -83,7 +83,7 @@ void Run(bench_util::BenchReport* report) {
   Advisor uniform_advisor(&uniform_model);
   AdvisorOptions options;
   options.block_size = 500;
-  options.k = 0;  // Static design: isolates the selectivity question.
+  options.solve.k = 0;  // Static design: isolates the selectivity question.
   options.candidate_indexes = MakePaperCandidateIndexes(schema);
   auto uniform_rec = uniform_advisor.Recommend(workload, options);
 

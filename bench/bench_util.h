@@ -69,10 +69,8 @@ inline Tracer& BenchTracer() {
 }
 
 /// Points `options` at the bench-wide registry/tracer when
-/// CDPD_METRICS_OUT / CDPD_TRACE_OUT are set. Works for both option
-/// structs that carry observability injection points.
-template <typename Options>
-inline void AttachObservability(Options* options) {
+/// CDPD_METRICS_OUT / CDPD_TRACE_OUT are set.
+inline void AttachObservability(SolveOptions* options) {
   if (std::getenv("CDPD_METRICS_OUT") != nullptr) {
     options->observability.metrics = &BenchMetricsRegistry();
   }
@@ -302,11 +300,11 @@ class BenchReport {
 inline AdvisorOptions PaperAdvisorOptions(std::optional<int64_t> k) {
   AdvisorOptions options;
   options.block_size = kPaperBlockSize;
-  options.k = k;
+  options.solve.k = k;
   options.candidate_indexes = MakePaperCandidateIndexes(MakePaperSchema());
   options.max_indexes_per_config = 1;
   options.final_config = Configuration::Empty();
-  AttachObservability(&options);
+  AttachObservability(&options.solve);
   return options;
 }
 

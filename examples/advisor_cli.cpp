@@ -85,7 +85,8 @@ void PrintHelp(std::FILE* out) {
       "default 2)\n"
       "  --block N         statements per advisor segment (default 500)\n"
       "  --method NAME     optimal|greedy-seq|merging|ranking|hybrid\n"
-      "  --threads N       worker threads (0 = CDPD_THREADS / hardware)\n"
+      "  --threads N       worker threads (0 = CDPD_THREADS / hardware;\n"
+      "                    at most 1024)\n"
       "  --rows N          table rows assumed by the cost model\n"
       "  --deadline-ms N   wall-clock budget; on expiry the best\n"
       "                    feasible schedule found so far is reported\n"
@@ -208,7 +209,7 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       args->block = static_cast<size_t>(block);
     } else if (name == "--threads") {
       if (!take_int(&args->threads) || args->threads < 0 ||
-          args->threads > std::numeric_limits<int>::max()) {
+          args->threads > ThreadPool::kMaxThreads) {
         return false;
       }
     } else if (name == "--rows") {
@@ -415,31 +416,32 @@ int main(int argc, char** argv) {
   Advisor advisor(&model);
   AdvisorOptions options;
   options.block_size = args.block;
-  if (args.k >= 0) options.k = args.k;
-  options.method = *method;
-  options.num_threads = static_cast<int>(args.threads);
+  SolveOptions& solve = options.solve;
+  if (args.k >= 0) solve.k = args.k;
+  solve.method = *method;
+  solve.num_threads = static_cast<int>(args.threads);
   if (args.deadline_ms >= 0) {
-    options.deadline = std::chrono::milliseconds(args.deadline_ms);
+    solve.deadline = std::chrono::milliseconds(args.deadline_ms);
   }
   if (args.memory_limit_bytes > 0) {
-    options.memory_limit_bytes = args.memory_limit_bytes;
+    solve.memory_limit_bytes = args.memory_limit_bytes;
   }
-  options.segmented.num_chunks = static_cast<int>(args.segments);
-  options.prune_dominated = args.prune;
+  solve.segmented.num_chunks = static_cast<int>(args.segments);
+  solve.prune_dominated = args.prune;
   MetricsRegistry registry;
   Tracer tracer;
   Logger logger(LogLevel::kInfo);
   ProgressBar bar;
-  if (!args.metrics_out.empty()) options.observability.metrics = &registry;
-  if (!args.trace_out.empty()) options.observability.tracer = &tracer;
-  if (!args.log_out.empty()) options.observability.logger = &logger;
-  if (args.explain || !args.explain_out.empty()) options.explain = true;
+  if (!args.metrics_out.empty()) solve.observability.metrics = &registry;
+  if (!args.trace_out.empty()) solve.observability.tracer = &tracer;
+  if (!args.log_out.empty()) solve.observability.logger = &logger;
+  if (args.explain || !args.explain_out.empty()) solve.explain = true;
   // The live progress bar only makes sense on an interactive stderr
   // and is pure noise in --quiet runs or redirected logs.
   const bool show_progress =
       chatty && CDPD_CLI_ISATTY(CDPD_CLI_FILENO(stderr)) != 0;
   if (show_progress) {
-    options.observability.progress = [&bar](const ProgressUpdate& update) {
+    solve.observability.progress = [&bar](const ProgressUpdate& update) {
       bar.Update(update);
     };
   }
@@ -516,7 +518,7 @@ int main(int argc, char** argv) {
   if (args.emit_ddl) {
     std::printf("\n-- DDL script --\n%s", EmitDdl(schema, *rec).c_str());
   }
-  if (options.explain) {
+  if (solve.explain) {
     if (!rec->explain.has_value()) {
       std::fprintf(stderr, "explain report missing from recommendation\n");
       return 1;

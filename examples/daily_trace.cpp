@@ -81,7 +81,7 @@ int main() {
   for (int64_t k = 0; k <= 4; ++k) {
     AdvisorOptions options;
     options.block_size = kBlock;
-    options.k = k;
+    options.solve.k = k;
     auto rec = advisor.Recommend(monday, options);
     if (!rec.ok()) {
       std::printf("advisor failed: %s\n", rec.status().ToString().c_str());

@@ -39,7 +39,7 @@ int main() {
   Advisor advisor(&db->cost_model());
   AdvisorOptions options;
   options.block_size = 100;
-  options.k = 2;
+  options.solve.k = 2;
   auto rec = advisor.Recommend(trace, options);
   if (!rec.ok()) {
     std::printf("advisor failed: %s\n", rec.status().ToString().c_str());

@@ -64,7 +64,7 @@ int main() {
   for (int64_t k : ks) {
     AdvisorOptions options;
     options.block_size = kPaperBlockSize;
-    options.k = k < 0 ? std::nullopt : std::optional<int64_t>(k);
+    options.solve.k = k < 0 ? std::nullopt : std::optional<int64_t>(k);
     options.candidate_indexes = MakePaperCandidateIndexes(schema);
     options.final_config = Configuration::Empty();
     auto rec = advisor.Recommend(w1, options);

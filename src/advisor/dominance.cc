@@ -20,9 +20,7 @@ DominanceResult Identity(size_t m) {
 }  // namespace
 
 DominanceResult PruneDominatedConfigs(const DesignProblem& problem,
-                                      ThreadPool* pool, const Budget* budget,
-                                      Logger* logger,
-                                      ResourceTracker* tracker) {
+                                      const SolveContext& ctx) {
   const CandidateSpace& space = problem.candidates;
   const size_t m = space.size();
   if (m <= 1 || problem.what_if == nullptr) return Identity(m);
@@ -33,9 +31,9 @@ DominanceResult PruneDominatedConfigs(const DesignProblem& problem,
   const int64_t scratch_bytes = static_cast<int64_t>(
       (num_shapes * m + m * m + 2 * m) * sizeof(double));
   ScopedReservation scratch = ScopedReservation::Try(
-      tracker, MemComponent::kCandidates, scratch_bytes);
+      ctx.tracker, MemComponent::kCandidates, scratch_bytes);
   if (!scratch.ok()) {
-    CDPD_LOG(logger, LogLevel::kWarn, "dominance.memory_limit",
+    CDPD_LOG(ctx.logger, LogLevel::kWarn, "dominance.memory_limit",
              LogField("scratch_bytes", scratch_bytes),
              LogField("fallback", "unpruned"));
     return Identity(m);
@@ -49,7 +47,7 @@ DominanceResult PruneDominatedConfigs(const DesignProblem& problem,
   std::vector<double> init_trans(m, 0.0);
   std::vector<double> final_trans(m, 0.0);
   const bool filled = ParallelFor(
-      pool, 0, m,
+      ctx.pool, 0, m,
       [&](size_t c) {
         const Configuration& config = space[c];
         for (size_t s = 0; s < num_shapes; ++s) {
@@ -65,9 +63,9 @@ DominanceResult PruneDominatedConfigs(const DesignProblem& problem,
               what_if.TransitionCost(config, *problem.final_config);
         }
       },
-      budget);
+      ctx.budget);
   if (!filled) {
-    CDPD_LOG(logger, LogLevel::kWarn, "dominance.deadline",
+    CDPD_LOG(ctx.logger, LogLevel::kWarn, "dominance.deadline",
              LogField("phase", "probe"), LogField("fallback", "unpruned"));
     return Identity(m);
   }
@@ -81,9 +79,9 @@ DominanceResult PruneDominatedConfigs(const DesignProblem& problem,
   DominanceResult result;
   result.survivors.reserve(m);
   for (size_t i = 0; i < m; ++i) {
-    if (BudgetExpired(budget)) {
+    if (BudgetExpired(ctx.budget)) {
       // Accept the rest unpruned: a truncated pass is still exact.
-      CDPD_LOG(logger, LogLevel::kWarn, "dominance.deadline",
+      CDPD_LOG(ctx.logger, LogLevel::kWarn, "dominance.deadline",
                LogField("phase", "scan"), LogField("at", i));
       for (size_t rest = i; rest < m; ++rest) {
         result.survivors.push_back(static_cast<ConfigId>(rest));
@@ -96,7 +94,7 @@ DominanceResult PruneDominatedConfigs(const DesignProblem& problem,
       continue;
     }
     std::atomic<bool> dominated{false};
-    ParallelFor(pool, 0, result.survivors.size(), [&](size_t sj) {
+    ParallelFor(ctx.pool, 0, result.survivors.size(), [&](size_t sj) {
       if (dominated.load(std::memory_order_relaxed)) return;
       const size_t j = result.survivors[sj];
       for (size_t s = 0; s < num_shapes; ++s) {
@@ -120,7 +118,7 @@ DominanceResult PruneDominatedConfigs(const DesignProblem& problem,
       result.survivors.push_back(static_cast<ConfigId>(i));
     }
   }
-  CDPD_LOG(logger, LogLevel::kInfo, "dominance.pruned",
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, "dominance.pruned",
            LogField("candidates", m), LogField("pruned", result.pruned),
            LogField("shapes", num_shapes));
   return result;

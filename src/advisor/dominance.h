@@ -5,10 +5,7 @@
 #include <vector>
 
 #include "advisor/candidate_space.h"
-#include "common/budget.h"
-#include "common/log.h"
-#include "common/resource_tracker.h"
-#include "common/thread_pool.h"
+#include "common/solve_context.h"
 #include "core/design_problem.h"
 
 namespace cdpd {
@@ -59,7 +56,7 @@ struct DominanceResult {
 ///
 /// The scan is sequential over ascending ConfigId, testing each
 /// configuration only against *already-accepted survivors* (the check
-/// over survivors is fanned out on `pool`). That keeps the dominator
+/// over survivors is fanned out on `ctx.pool`). That keeps the dominator
 /// of every pruned configuration a survivor — the replacement above
 /// never chases a chain into another pruned configuration, so no
 /// cycle/termination argument is needed even though the pairwise
@@ -69,18 +66,15 @@ struct DominanceResult {
 /// pruned: with count_initial_change it is the only layer-0 start the
 /// DP has, and keeping it costs one candidate.
 ///
-/// Deterministic for any thread count. `budget` (optional) is polled
+/// Deterministic for any thread count. `ctx.budget` (optional) is polled
 /// between candidates; on expiry the remaining configurations are
 /// accepted unpruned — pruning is an optimization, so a truncated pass
 /// is still exact. Scratch tables (|shapes| x m shape costs, m x m
-/// TRANS) are charged to MemComponent::kCandidates via `tracker`; a
+/// TRANS) are charged to MemComponent::kCandidates via `ctx.tracker`; a
 /// refused reservation skips pruning entirely (identity result) rather
 /// than failing the solve.
 DominanceResult PruneDominatedConfigs(const DesignProblem& problem,
-                                      ThreadPool* pool = nullptr,
-                                      const Budget* budget = nullptr,
-                                      Logger* logger = nullptr,
-                                      ResourceTracker* tracker = nullptr);
+                                      const SolveContext& ctx = {});
 
 }  // namespace cdpd
 

@@ -50,7 +50,10 @@ std::string Configuration::ToString(const Schema& schema) const {
   for (const IndexDef& index : indexes()) {
     parts.push_back(index.ToString(schema));
   }
-  return "{" + Join(parts, ", ") + "}";
+  std::string out = "{";
+  out += Join(parts, ", ");
+  out += "}";
+  return out;
 }
 
 size_t ConfigurationHash::operator()(const Configuration& config) const {

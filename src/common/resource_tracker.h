@@ -203,49 +203,53 @@ class ScopedReservation {
 };
 
 /// Counting std::allocator adapter: every allocate/deallocate is
-/// mirrored into the tracker, so containers that grow unpredictably
-/// (the ranking queue) are charged at their true allocated size. The
-/// default-constructed allocator (null tracker) counts nothing.
-template <typename T>
+/// mirrored into the tracker under `Component`, so containers that grow
+/// unpredictably (the ranking queue) are charged at their true
+/// allocated size. The component is part of the type, so the allocator
+/// a container stores is one pointer. The default-constructed allocator
+/// (null tracker) counts nothing.
+template <typename T, MemComponent Component>
 class TrackingAllocator {
  public:
   using value_type = T;
   using propagate_on_container_copy_assignment = std::true_type;
   using propagate_on_container_move_assignment = std::true_type;
   using propagate_on_container_swap = std::true_type;
+  template <typename U>
+  struct rebind {
+    using other = TrackingAllocator<U, Component>;
+  };
 
   TrackingAllocator() = default;
-  TrackingAllocator(ResourceTracker* tracker, MemComponent component)
-      : tracker_(tracker), component_(component) {}
+  explicit TrackingAllocator(ResourceTracker* tracker) : tracker_(tracker) {}
   template <typename U>
-  TrackingAllocator(const TrackingAllocator<U>& other)  // NOLINT(runtime/explicit)
-      : tracker_(other.tracker()), component_(other.component()) {}
+  TrackingAllocator(  // NOLINT(runtime/explicit)
+      const TrackingAllocator<U, Component>& other)
+      : tracker_(other.tracker()) {}
 
   T* allocate(size_t n) {
     T* p = std::allocator<T>().allocate(n);
     if (tracker_ != nullptr) {
-      tracker_->Reserve(component_, static_cast<int64_t>(n * sizeof(T)));
+      tracker_->Reserve(Component, static_cast<int64_t>(n * sizeof(T)));
     }
     return p;
   }
   void deallocate(T* p, size_t n) {
     std::allocator<T>().deallocate(p, n);
     if (tracker_ != nullptr) {
-      tracker_->Release(component_, static_cast<int64_t>(n * sizeof(T)));
+      tracker_->Release(Component, static_cast<int64_t>(n * sizeof(T)));
     }
   }
 
   ResourceTracker* tracker() const { return tracker_; }
-  MemComponent component() const { return component_; }
 
   template <typename U>
-  bool operator==(const TrackingAllocator<U>& other) const {
-    return tracker_ == other.tracker() && component_ == other.component();
+  bool operator==(const TrackingAllocator<U, Component>& other) const {
+    return tracker_ == other.tracker();
   }
 
  private:
   ResourceTracker* tracker_ = nullptr;
-  MemComponent component_ = MemComponent::kRankingQueue;
 };
 
 /// CPU time consumed by the calling thread (CLOCK_THREAD_CPUTIME_ID),

@@ -85,12 +85,12 @@ void ThreadPool::EnableLogging(Logger* logger) {
 int ThreadPool::DefaultThreadCount() {
   if (const char* env = std::getenv("CDPD_THREADS")) {
     const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 1 && parsed <= std::numeric_limits<int>::max()) {
+    if (parsed >= 1 && parsed <= kMaxThreads) {
       return static_cast<int>(parsed);
     }
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  return hw == 0 ? 1 : static_cast<int>(std::min<unsigned>(hw, kMaxThreads));
 }
 
 bool ThreadPool::InWorkerThread() { return t_in_worker; }

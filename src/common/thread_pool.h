@@ -40,10 +40,16 @@ class ThreadPool {
   /// the caller).
   void Submit(std::function<void()> task);
 
-  /// The thread count the CDPD_THREADS environment variable requests
-  /// (clamped to >= 1), or std::thread::hardware_concurrency() when the
-  /// variable is unset or unparsable. Re-read on every call so tests
-  /// and long-lived processes can change it between solves.
+  /// The most worker threads a thread-count option, flag or
+  /// environment variable may ask for; a larger count is rejected as
+  /// malformed instead of spawning that many threads.
+  static constexpr int kMaxThreads = 1024;
+
+  /// The thread count the CDPD_THREADS environment variable requests,
+  /// or std::thread::hardware_concurrency() capped at kMaxThreads when
+  /// the variable is unset or not a count in [1, kMaxThreads]. Re-read
+  /// on every call so tests and long-lived processes can change it
+  /// between solves.
   static int DefaultThreadCount();
 
   /// True when the calling thread is one of this process's pool

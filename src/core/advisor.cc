@@ -8,39 +8,19 @@ Status AdvisorOptions::Validate() const {
   if (block_size == 0) {
     return Status::InvalidArgument("block_size must be positive");
   }
-  if (k.has_value() && *k < 0) {
-    return Status::InvalidArgument(
-        "change bound k must be >= 0 when set (use nullopt for "
-        "unconstrained)");
-  }
   if (space_bound_pages <= 0) {
     return Status::InvalidArgument("space_bound_pages must be positive");
   }
   if (max_indexes_per_config < 1) {
     return Status::InvalidArgument("max_indexes_per_config must be >= 1");
   }
-  if (num_threads < 0) {
-    return Status::InvalidArgument("num_threads must be >= 0");
-  }
-  if (ranking_max_paths <= 0) {
-    return Status::InvalidArgument("ranking_max_paths must be positive");
-  }
-  if (deadline.has_value() && deadline->count() < 0) {
-    return Status::InvalidArgument(
-        "deadline must be >= 0 when set (use nullopt for no deadline)");
-  }
-  if (memory_limit_bytes.has_value() && *memory_limit_bytes <= 0) {
-    return Status::InvalidArgument(
-        "memory_limit_bytes must be > 0 when set (use nullopt for no "
-        "limit)");
-  }
-  CDPD_RETURN_IF_ERROR(segmented.Validate());
   return Status::OK();
 }
 
 Result<Recommendation> Advisor::Recommend(const Workload& workload,
                                           const AdvisorOptions& options) const {
   CDPD_RETURN_IF_ERROR(options.Validate());
+  Logger* const logger = options.solve.observability.logger;
 
   Recommendation rec;
   if (options.segmentation == SegmentationMode::kAdaptive) {
@@ -54,7 +34,7 @@ Result<Recommendation> Advisor::Recommend(const Workload& workload,
     rec.segments = SegmentFixed(workload.size(), options.block_size);
   }
 
-  CDPD_LOG(options.observability.logger, LogLevel::kInfo, "advisor.segmented",
+  CDPD_LOG(logger, LogLevel::kInfo, "advisor.segmented",
            LogField("statements", workload.size()),
            LogField("segments", rec.segments.size()),
            LogField("adaptive",
@@ -77,7 +57,7 @@ Result<Recommendation> Advisor::Recommend(const Workload& workload,
       rec.candidate_configs,
       EnumerateConfigurations(rec.candidate_indexes, enum_options));
 
-  CDPD_LOG(options.observability.logger, LogLevel::kInfo, "advisor.candidates",
+  CDPD_LOG(logger, LogLevel::kInfo, "advisor.candidates",
            LogField("candidate_indexes", rec.candidate_indexes.size()),
            LogField("candidate_configs", rec.candidate_configs.size()));
 
@@ -90,19 +70,8 @@ Result<Recommendation> Advisor::Recommend(const Workload& workload,
   problem.space_bound_pages = options.space_bound_pages;
   problem.count_initial_change = options.count_initial_change;
 
-  SolveOptions solve_options;
-  solve_options.method = options.method;
-  solve_options.k = options.k;
-  solve_options.num_threads = options.num_threads;
-  solve_options.ranking_max_paths = options.ranking_max_paths;
-  solve_options.observability = options.observability;
-  solve_options.prune_dominated = options.prune_dominated;
-  solve_options.segmented = options.segmented;
-  solve_options.explain = options.explain;
-  solve_options.deadline = options.deadline;
-  solve_options.cancel = options.cancel;
-  solve_options.memory_limit_bytes = options.memory_limit_bytes;
-  if (options.method == OptimizerMethod::kGreedySeq) {
+  SolveOptions solve_options = options.solve;
+  if (solve_options.method == OptimizerMethod::kGreedySeq) {
     solve_options.greedy.candidate_indexes = rec.candidate_indexes;
     solve_options.greedy.max_indexes_per_config =
         options.max_indexes_per_config;
@@ -121,7 +90,8 @@ Result<Recommendation> Advisor::Recommend(const Workload& workload,
   }
 
   rec.changes = CountChanges(problem, rec.schedule.configs);
-  CDPD_RETURN_IF_ERROR(ValidateSchedule(problem, rec.schedule, options.k));
+  CDPD_RETURN_IF_ERROR(
+      ValidateSchedule(problem, rec.schedule, options.solve.k));
   return rec;
 }
 

@@ -1,7 +1,6 @@
 #ifndef CDPD_CORE_ADVISOR_H_
 #define CDPD_CORE_ADVISOR_H_
 
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -35,14 +34,6 @@ struct AdvisorOptions {
   /// Adaptive-mode parameters; base_block_size = 0 inherits
   /// block_size.
   AdaptiveSegmentOptions adaptive = {.base_block_size = 0};
-  /// Change bound k; nullopt = unconstrained (the old -1 sentinel is
-  /// gone — Validate() rejects negative values).
-  std::optional<int64_t> k;
-  OptimizerMethod method = OptimizerMethod::kOptimal;
-  /// Worker threads for the what-if precompute and the solver sweeps;
-  /// 0 = CDPD_THREADS / hardware default, 1 = serial. The
-  /// recommendation is identical for any value.
-  int num_threads = 0;
   /// Space bound b in pages.
   int64_t space_bound_pages = std::numeric_limits<int64_t>::max();
   /// Indexes per configuration (1 = the paper's experimental space).
@@ -55,42 +46,19 @@ struct AdvisorOptions {
   /// workload (advisor/candidate_generation.h).
   std::vector<IndexDef> candidate_indexes;
   CandidateGenOptions candidate_gen;
-  /// Enumeration cap for the ranking method.
-  int64_t ranking_max_paths = 1'000'000;
-  /// Observability sinks in one bundle, forwarded to
-  /// SolveOptions::observability (see common/observability.h). All
-  /// optional, all borrowed; `metrics` additionally receives the
-  /// what-if engine's "whatif.*" counters and histogram, and the
+  /// The solve itself: method, change bound k, threads, sinks,
+  /// pruning, checkpoint blocks, explain, deadline, cancellation and
+  /// memory limit (see SolveOptions). Recommend passes it to Solve(),
+  /// which validates it, after filling `greedy` from the candidate
+  /// indexes for GREEDY-SEQ. The deadline does not cover segmentation
+  /// and candidate generation, which are cheap next to the solve. The
   /// advisor adds its own "advisor.*" log events (segmentation and
-  /// candidate-space sizes) around the solve. The progress callback
-  /// must be thread-safe (see common/progress.h). None perturb the
-  /// recommendation.
-  Observability observability;
-  /// Dominance pruning and DP checkpoint blocks, forwarded to
-  /// SolveOptions::prune_dominated / SolveOptions::segmented.
-  bool prune_dominated = false;
-  SegmentSolveOptions segmented;
-  /// Build the per-transition EXEC/TRANS attribution into
-  /// Recommendation::explain (see core/explain.h).
-  bool explain = false;
-  /// Wall-clock budget and cooperative cancellation for the solve,
-  /// forwarded to SolveOptions::deadline / SolveOptions::cancel (the
-  /// segmentation and candidate-generation phases are not covered —
-  /// they are cheap relative to the solve). On expiry the
-  /// recommendation carries the solver's best feasible schedule so
-  /// far, flagged in stats.deadline_hit.
-  std::optional<std::chrono::milliseconds> deadline;
-  const CancelToken* cancel = nullptr;
-  /// Soft byte budget for the solve's tracked allocations, forwarded
-  /// to SolveOptions::memory_limit_bytes. An over-budget solve
-  /// degrades to the best schedule it can build within budget, flagged
-  /// in stats.memory_limit_hit; nullopt = no limit (the allocations
-  /// are still tracked into stats.peak_bytes_total).
-  std::optional<int64_t> memory_limit_bytes;
+  /// candidate-space sizes) to `solve.observability.logger`.
+  SolveOptions solve;
 
-  /// All option validation in one place (block size, change bound,
-  /// space bound, thread count, enumeration cap, deadline); Recommend
-  /// calls it first, replacing the old scattered ad-hoc checks.
+  /// Validates the advisor's own fields (block size, space bound,
+  /// indexes per configuration); Recommend calls it first, and Solve()
+  /// validates `solve`.
   Status Validate() const;
 };
 

@@ -5,7 +5,6 @@
 #include <optional>
 #include <span>
 
-#include "common/stopwatch.h"
 
 namespace cdpd {
 
@@ -54,11 +53,7 @@ double ExitCost(const DesignProblem& problem, const Configuration& last) {
 Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
                                          const DesignSchedule& initial_schedule,
                                          int64_t k, SolveStats* stats,
-                                         ThreadPool* pool, Tracer* tracer,
-                                         const Budget* budget,
-                                         const ProgressFn* progress,
-                                         Logger* logger,
-                                         ResourceTracker* tracker) {
+                                         const SolveContext& ctx) {
   CDPD_RETURN_IF_ERROR(problem.Validate());
   if (k < 0) {
     return Status::InvalidArgument("change bound k must be >= 0");
@@ -70,14 +65,12 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
         std::to_string(problem.num_segments()));
   }
 
-  SolveStats local_stats;
-  local_stats.threads_used = pool != nullptr ? pool->num_threads() : 1;
-  const Stopwatch watch;
+  SolveStats unused_stats;
+  SolveStats& out = stats != nullptr ? *stats : unused_stats;
   const WhatIfEngine& what_if = *problem.what_if;
-  const int64_t costings_before = what_if.costings();
   std::vector<Run> runs = BuildRuns(initial_schedule.configs);
   const int64_t initial_changes = RunChanges(problem, runs);
-  CDPD_LOG(logger, LogLevel::kInfo, "merging.start",
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, "merging.start",
            LogField("initial_changes", initial_changes), LogField("k", k),
            LogField("candidates", problem.candidates.size()));
 
@@ -87,7 +80,7 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
   // instead. Shared by both exits.
   const auto static_fallback =
       [&](int64_t changes, const char* cause) -> Result<DesignSchedule> {
-    CDPD_LOG(logger, LogLevel::kWarn, "merging.fallback",
+    CDPD_LOG(ctx.logger, LogLevel::kWarn, "merging.fallback",
              LogField("changes", changes), LogField("k", k),
              LogField("cause", cause));
     Result<DesignSchedule> fallback = BestStaticSchedule(problem, k);
@@ -97,11 +90,8 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
           " changes still above k = " + std::to_string(k) +
           ", and no static design satisfies the bound");
     }
-    local_stats.deadline_hit = true;
-    local_stats.best_effort = true;
-    local_stats.wall_seconds = watch.ElapsedSeconds();
-    local_stats.costings = what_if.costings() - costings_before;
-    if (stats != nullptr) *stats = local_stats;
+    out.deadline_hit = true;
+    out.best_effort = true;
     return std::move(fallback).value();
   };
 
@@ -112,17 +102,17 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
 
   // One span for the refinement and its final pricing; its arg is the
   // merge steps taken.
-  TraceSpan merge_span(tracer, "merging.merge", "solver", 0);
+  TraceSpan merge_span(ctx.tracer, "merging.merge", "solver", 0);
   for (;;) {
     const int64_t changes = RunChanges(problem, runs);
     // Fraction of the excess changes merged away so far.
     if (initial_changes > k) {
-      ReportProgress(progress, "merging",
+      ReportProgress(ctx.progress, "merging",
                      static_cast<double>(initial_changes - changes) /
                          static_cast<double>(initial_changes - k));
     }
     if (changes <= k) break;
-    if (BudgetExpired(budget)) {
+    if (BudgetExpired(ctx.budget)) {
       return static_fallback(changes, "deadline");
     }
     if (runs.size() == 1) {
@@ -137,15 +127,14 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
             "configuration to be a candidate");
       }
       runs.front().config = problem.initial;
-      ++local_stats.merge_steps;
-      merge_span.set_arg(local_stats.merge_steps);
+      merge_span.set_arg(++out.merge_steps);
       break;
     }
 
     if (candidate_columns.empty()) {
       // First round: price every candidate once.
       candidate_columns.resize(problem.candidates.size());
-      ParallelFor(pool, 0, candidate_columns.size(), [&](size_t c) {
+      ParallelFor(ctx.pool, 0, candidate_columns.size(), [&](size_t c) {
         candidate_columns[c] = what_if.ShapeColumn(problem.candidates[c]);
       });
       for (Run& run : runs) {
@@ -166,14 +155,14 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
     // refusal degrades now rather than waiting for the next budget
     // poll — the tables are exactly what there is no budget for.
     const ScopedReservation round_reservation = ScopedReservation::Try(
-        tracker, MemComponent::kMergingTable,
+        ctx.tracker, MemComponent::kMergingTable,
         static_cast<int64_t>((num_pairs + num_pairs * num_cands) *
                              sizeof(double)));
     if (!round_reservation.ok()) {
       return static_fallback(changes, "memory-limit");
     }
     std::vector<double> old_costs(num_pairs);
-    ParallelFor(pool, 0, num_pairs, [&](size_t i) {
+    ParallelFor(ctx.pool, 0, num_pairs, [&](size_t i) {
       const Run& left = runs[i];
       const Run& right = runs[i + 1];
       const Configuration& prev =
@@ -189,7 +178,7 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
       old_costs[i] = old_cost;
     });
     std::vector<double> penalties(num_pairs * num_cands);
-    ParallelFor(pool, 0, num_pairs * num_cands, [&](size_t cell) {
+    ParallelFor(ctx.pool, 0, num_pairs * num_cands, [&](size_t cell) {
       const size_t i = cell / num_cands;
       const Run& left = runs[i];
       const Run& right = runs[i + 1];
@@ -206,7 +195,7 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
                       : ExitCost(problem, replacement);
       penalties[cell] = new_cost - old_costs[i];
     });
-    local_stats.candidate_evaluations +=
+    out.candidate_evaluations +=
         static_cast<int64_t>(num_pairs * num_cands);
 
     double best_penalty = std::numeric_limits<double>::infinity();
@@ -232,8 +221,7 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
     runs[best_pair].config = std::move(best_replacement);
     runs[best_pair].end = runs[best_pair + 1].end;
     runs.erase(runs.begin() + static_cast<int64_t>(best_pair) + 1);
-    ++local_stats.merge_steps;
-    merge_span.set_arg(local_stats.merge_steps);
+    merge_span.set_arg(++out.merge_steps);
     std::vector<Run> coalesced;
     for (Run& run : runs) {
       if (!coalesced.empty() && coalesced.back().config == run.config) {
@@ -253,14 +241,10 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
     }
   }
   schedule.total_cost = EvaluateScheduleCost(problem, schedule.configs);
-  CDPD_LOG(logger, LogLevel::kInfo, "merging.end",
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, "merging.end",
            LogField("cost", schedule.total_cost),
-           LogField("merge_steps", local_stats.merge_steps),
-           LogField("candidate_evaluations",
-                    local_stats.candidate_evaluations));
-  local_stats.wall_seconds = watch.ElapsedSeconds();
-  local_stats.costings = what_if.costings() - costings_before;
-  if (stats != nullptr) *stats = local_stats;
+           LogField("merge_steps", out.merge_steps),
+           LogField("candidate_evaluations", out.candidate_evaluations));
   return schedule;
 }
 

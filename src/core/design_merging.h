@@ -3,12 +3,8 @@
 
 #include <cstdint>
 
-#include "common/budget.h"
-#include "common/log.h"
-#include "common/progress.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
-#include "common/tracing.h"
+#include "common/solve_context.h"
 #include "core/design_problem.h"
 #include "core/solve_stats.h"
 
@@ -30,15 +26,17 @@ namespace cdpd {
 /// unconstrained optimum.
 ///
 /// Each step's (pair, replacement) penalty sweep is evaluated in
-/// parallel across `pool` when one is given; the winning replacement
+/// parallel across `ctx.pool` when one is given; the winning replacement
 /// is selected by a serial scan in the serial iteration order, so the
 /// result is identical for any thread count.
 ///
 /// `initial_schedule.configs` must have one entry per problem segment.
-/// With a `tracer` the refinement and its final pricing record one
-/// "merging.merge" span (arg = the merge steps taken).
+/// `stats` (optional) receives merge_steps, candidate_evaluations and
+/// the fallback flags, added to what it holds. With `ctx.tracer` the
+/// refinement and its final pricing record one "merging.merge" span
+/// (arg = the merge steps taken).
 ///
-/// `budget` (optional) bounds the refinement; expiry is polled between
+/// `ctx.budget` (optional) bounds the refinement; expiry is polled between
 /// merging rounds (a started round always completes). A mid-refinement
 /// schedule still violates k — the partial refinement is NOT a
 /// feasible answer — so on expiry the solve degrades to the cheapest
@@ -48,13 +46,12 @@ namespace cdpd {
 /// expires changes nothing: the schedule is byte-identical to an
 /// un-budgeted run.
 ///
-/// `progress` receives "merging" updates between rounds, the fraction
-/// being the share of excess changes merged away so far (thread-safe
-/// callback required; see common/progress.h); `logger` records
-/// start/end, per-round, and fallback events. Both optional, both
+/// `ctx.progress` receives "merging" updates between rounds, the
+/// fraction being the share of excess changes merged away so far;
+/// `ctx.logger` records start/end and fallback events. Both are
 /// observational only.
 ///
-/// `tracker` (optional) accounts each round's penalty tables
+/// `ctx.tracker` (optional) accounts each round's penalty tables
 /// (kMergingTable), released when the round ends. A round whose tables
 /// the tracker's soft limit refuses degrades immediately to the static
 /// fallback (the partial refinement still violates k, so it is not a
@@ -63,12 +60,7 @@ Result<DesignSchedule> MergeToConstraint(const DesignProblem& problem,
                                          const DesignSchedule& initial_schedule,
                                          int64_t k,
                                          SolveStats* stats = nullptr,
-                                         ThreadPool* pool = nullptr,
-                                         Tracer* tracer = nullptr,
-                                         const Budget* budget = nullptr,
-                                         const ProgressFn* progress = nullptr,
-                                         Logger* logger = nullptr,
-                                         ResourceTracker* tracker = nullptr);
+                                         const SolveContext& ctx = {});
 
 }  // namespace cdpd
 

@@ -7,7 +7,6 @@
 #include <new>
 
 #include "common/math_util.h"
-#include "common/stopwatch.h"
 #include "core/relax_stage.h"
 
 namespace cdpd {
@@ -136,10 +135,7 @@ int64_t PredictKAwareTableBytes(int64_t num_stages,
 
 Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
                                    std::optional<int64_t> k,
-                                   SolveStats* stats, ThreadPool* pool,
-                                   Tracer* tracer, const Budget* budget,
-                                   const ProgressFn* progress, Logger* logger,
-                                   ResourceTracker* tracker,
+                                   SolveStats* stats, const SolveContext& ctx,
                                    size_t num_blocks) {
   CDPD_RETURN_IF_ERROR(problem.Validate());
   if (k.has_value() && *k < 0) {
@@ -147,27 +143,23 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
   }
   const DpNames& names = k.has_value() ? kKAwareNames : kUnconstrainedNames;
   const WhatIfEngine& what_if = *problem.what_if;
-  const Stopwatch watch;
-  const int64_t costings_before = what_if.costings();
   const size_t n = problem.num_segments();
   const CandidateSpace& configs = problem.candidates;
   const size_t m = configs.size();
 
-  SolveStats local_stats;
-  local_stats.threads_used = pool != nullptr ? pool->num_threads() : 1;
+  SolveStats unused_stats;
+  SolveStats& out = stats != nullptr ? *stats : unused_stats;
   DesignSchedule schedule;
   if (n == 0) {
     if (problem.final_config.has_value()) {
       schedule.total_cost =
           what_if.TransitionCost(problem.initial, *problem.final_config);
     }
-    local_stats.wall_seconds = watch.ElapsedSeconds();
-    if (stats != nullptr) *stats = local_stats;
     return schedule;
   }
   const StageBlocks blocks(n, num_blocks);
   if (blocks.count > 1) {
-    local_stats.segment_chunks = static_cast<int64_t>(blocks.count);
+    out.segment_chunks = static_cast<int64_t>(blocks.count);
   }
 
   // No schedule over n segments can make more changes than n - 1
@@ -199,8 +191,8 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
   const auto best_static = [&]() -> Result<DesignSchedule> {
     CDPD_ASSIGN_OR_RETURN(DesignSchedule fallback,
                           BestStaticSchedule(problem, k));
-    local_stats.deadline_hit = true;
-    local_stats.best_effort = true;
+    out.deadline_hit = true;
+    out.best_effort = true;
     return fallback;
   };
 
@@ -210,24 +202,20 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
   // same anytime contract as a deadline, reached before any table
   // exists.
   ScopedReservation matrix_reservation = ScopedReservation::Try(
-      tracker, MemComponent::kCostMatrix, CostMatrix::EstimateBytes(n, m));
+      ctx.tracker, MemComponent::kCostMatrix, CostMatrix::EstimateBytes(n, m));
   ScopedReservation table_reservation;
   if (matrix_reservation.ok()) {
     table_reservation = ScopedReservation::Try(
-        tracker, names.table,
+        ctx.tracker, names.table,
         PredictKAwareTableBytes(static_cast<int64_t>(n), configs, k_or_zero,
                                 problem.count_initial_change,
                                 static_cast<int64_t>(blocks.count)));
   }
   if (!matrix_reservation.ok() || !table_reservation.ok()) {
-    CDPD_LOG(logger, LogLevel::kWarn, names.memory_limit,
-             LogField("limit_bytes", tracker->limit_bytes()),
+    CDPD_LOG(ctx.logger, LogLevel::kWarn, names.memory_limit,
+             LogField("limit_bytes", ctx.tracker->limit_bytes()),
              LogField("fallback", "best-static"));
-    CDPD_ASSIGN_OR_RETURN(schedule, best_static());
-    local_stats.wall_seconds = watch.ElapsedSeconds();
-    local_stats.costings = what_if.costings() - costings_before;
-    if (stats != nullptr) *stats = local_stats;
-    return schedule;
+    return best_static();
   }
 
   // Phase 1 (parallel): dense EXEC/TRANS matrices plus the boundary
@@ -236,20 +224,18 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
   CostMatrix matrix;
   std::vector<double> init_trans(m, 0.0);
   std::vector<double> final_trans(m, 0.0);
-  CDPD_LOG(logger, LogLevel::kInfo, names.start, LogField("segments", n),
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, names.start, LogField("segments", n),
            LogField("candidates", m), LogField("k", k.value_or(-1)),
            LogField("layers", layers));
   {
-    CDPD_TRACE_SPAN(tracer, names.precompute, "solver");
-    CDPD_ASSIGN_OR_RETURN(
-        matrix, what_if.PrecomputeCostMatrix(configs, pool, tracer, budget,
-                                             progress, logger));
+    CDPD_TRACE_SPAN(ctx.tracer, names.precompute, "solver");
+    CDPD_ASSIGN_OR_RETURN(matrix, what_if.PrecomputeCostMatrix(configs, ctx));
     if (!matrix.complete()) {
       return Status::DeadlineExceeded(
           "budget expired during the what-if precompute, before any "
           "feasible schedule could be priced");
     }
-    ParallelFor(pool, 0, m, [&](size_t c) {
+    ParallelFor(ctx.pool, 0, m, [&](size_t c) {
       init_trans[c] = what_if.TransitionCost(problem.initial, configs[c]);
       if (problem.final_config.has_value()) {
         final_trans[c] =
@@ -278,6 +264,7 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
   std::vector<double> checkpoints((blocks.count - 1) * layer_cells);
 
   // Without a bound no change is counted, the initial build included.
+  int64_t nodes_expanded = 0;
   const bool initial_counts = k.has_value() && problem.count_initial_change;
   for (size_t c = 0; c < m; ++c) {
     const bool is_initial = configs[c] == problem.initial;
@@ -286,7 +273,7 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
     const double cost = init_trans[c] + matrix.Exec(0, c);
     if (cost < dist[layer * m + c]) {
       dist[layer * m + c] = cost;
-      ++local_stats.nodes_expanded;
+      ++nodes_expanded;
     }
   }
 
@@ -312,7 +299,7 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
         std::copy_n(checkpoints.begin() + b * layer_cells, layer_cells,
                     dist.begin());
         for (size_t s = first; s <= stage; ++s) {
-          if (BudgetExpired(budget)) return false;
+          if (BudgetExpired(ctx.budget)) return false;
           kernel.RelaxStage(s, dist.data(), next.data(),
                             parent.get() + (s - first) * layer_cells);
           std::swap(dist, next);
@@ -327,10 +314,8 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
     return true;
   };
   const auto finish = [&](DesignSchedule done) -> DesignSchedule {
-    local_stats.relaxations = kernel.relaxations();
-    local_stats.wall_seconds = watch.ElapsedSeconds();
-    local_stats.costings = what_if.costings() - costings_before;
-    if (stats != nullptr) *stats = local_stats;
+    out.nodes_expanded += nodes_expanded;
+    out.relaxations += kernel.relaxations();
     return done;
   };
   // Anytime fallback: freeze the cheapest completed DP prefix. Holding
@@ -374,13 +359,14 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
     for (const ConfigId id : path) frozen.configs.push_back(configs[id]);
     frozen.total_cost =
         PricePath(matrix, path, init_trans.data(), final_or_null);
-    local_stats.deadline_hit = true;
-    local_stats.best_effort = true;
+    out.deadline_hit = true;
+    out.best_effort = true;
     return frozen;
   };
 
   {
-    CDPD_TRACE_SPAN(tracer, names.dp, "solver", static_cast<int64_t>(n - 1));
+    CDPD_TRACE_SPAN(ctx.tracer, names.dp, "solver",
+                    static_cast<int64_t>(n - 1));
     for (size_t b = 0; b < blocks.count; ++b) {
       // Every block but the last saves the dist it starts from and
       // keeps no parent rows; the backtrack re-relaxes it.
@@ -391,10 +377,10 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
                   checkpoints.begin() + b * layer_cells);
       }
       for (size_t stage = first; stage < blocks.Begin(b + 1); ++stage) {
-        if (BudgetExpired(budget)) {
-          CDPD_LOG(logger, LogLevel::kWarn, names.deadline,
+        if (BudgetExpired(ctx.budget)) {
+          CDPD_LOG(ctx.logger, LogLevel::kWarn, names.deadline,
                    LogField("stage", stage), LogField("stages", n));
-          local_stats.nodes_expanded += kernel.reachable();
+          nodes_expanded += kernel.reachable();
           if (blocks.count > 1) {
             CDPD_ASSIGN_OR_RETURN(DesignSchedule fallback, best_static());
             return finish(std::move(fallback));
@@ -403,7 +389,7 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
                                 freeze_prefix(stage - 1));
           return finish(std::move(frozen));
         }
-        ReportProgress(progress, names.dp,
+        ReportProgress(ctx.progress, names.dp,
                        static_cast<double>(stage) / static_cast<double>(n));
         kernel.RelaxStage(
             stage, dist.data(), next.data(),
@@ -413,11 +399,11 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
     }
   }
   // The re-relaxations below reach the same cells again; count each once.
-  local_stats.nodes_expanded += kernel.reachable();
+  nodes_expanded += kernel.reachable();
 
   // The best final cell, its backtrack (re-relaxing every block but
   // the last), the schedule and its price.
-  CDPD_TRACE_SPAN(tracer, names.path, "solver", static_cast<int64_t>(n));
+  CDPD_TRACE_SPAN(ctx.tracer, names.path, "solver", static_cast<int64_t>(n));
 
   double best = kInf;
   size_t best_layer = 0;
@@ -441,7 +427,7 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
   }
 
   if (!trace_back(n - 1, best_layer, best_config)) {
-    CDPD_LOG(logger, LogLevel::kWarn, names.deadline,
+    CDPD_LOG(ctx.logger, LogLevel::kWarn, names.deadline,
              LogField("phase", "backtrack"), LogField("stages", n));
     CDPD_ASSIGN_OR_RETURN(DesignSchedule fallback, best_static());
     return finish(std::move(fallback));
@@ -450,13 +436,12 @@ Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
   for (const ConfigId id : path) schedule.configs.push_back(configs[id]);
   schedule.total_cost =
       PricePath(matrix, path, init_trans.data(), final_or_null);
-  ReportProgress(progress, names.dp, 1.0, schedule.total_cost);
-  schedule = finish(std::move(schedule));
-  CDPD_LOG(logger, LogLevel::kInfo, names.end,
+  ReportProgress(ctx.progress, names.dp, 1.0, schedule.total_cost);
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, names.end,
            LogField("cost", schedule.total_cost),
-           LogField("nodes_expanded", local_stats.nodes_expanded),
-           LogField("relaxations", local_stats.relaxations));
-  return schedule;
+           LogField("nodes_expanded", nodes_expanded),
+           LogField("relaxations", kernel.relaxations()));
+  return finish(std::move(schedule));
 }
 
 }  // namespace cdpd

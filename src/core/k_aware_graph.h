@@ -4,12 +4,8 @@
 #include <cstdint>
 #include <optional>
 
-#include "common/budget.h"
-#include "common/log.h"
-#include "common/progress.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
-#include "common/tracing.h"
+#include "common/solve_context.h"
 #include "core/design_problem.h"
 #include "core/solve_stats.h"
 
@@ -82,8 +78,8 @@ int64_t PredictKAwareTableBytes(int64_t num_stages,
 /// else below holds for both.
 ///
 /// The solve first precomputes the dense EXEC/TRANS cost matrices
-/// (WhatIfEngine::PrecomputeCostMatrix, fanned out across `pool` when
-/// one is given) and then relaxes each stage's (layer, config) cells
+/// (WhatIfEngine::PrecomputeCostMatrix, fanned out across `ctx.pool`
+/// when one is given) and then relaxes each stage's (layer, config) cells
 /// with the serial RelaxKernel. The schedule, cost, and stats are
 /// identical for any thread count. The reported cost is the chosen
 /// path re-priced in EvaluateScheduleCost's order (PricePath), so it
@@ -96,12 +92,17 @@ int64_t PredictKAwareTableBytes(int64_t num_stages,
 /// still not fit in int64 cells is rejected with InvalidArgument
 /// *before* any allocation.
 ///
-/// `stats`, `pool`, and `tracer` are optional; with a tracer the solve
+/// `stats` (optional) receives the DP's own counters, added to what it
+/// holds: nodes_expanded, relaxations, segment_chunks and the fallback
+/// flags. Solve() fills the solve-wide ones (wall and CPU time,
+/// costings, threads_used).
+///
+/// Every member of `ctx` is optional. With `ctx.tracer` the solve
 /// records one "kaware.precompute", one "kaware.dp" (arg = the n - 1
 /// relaxed stages) and one "kaware.path" span, whatever n is
 /// (timestamps only — results are unchanged).
 ///
-/// `budget` (optional) bounds the solve; expiry is polled between
+/// `ctx.budget` bounds the solve; expiry is polled between
 /// precompute blocks and DP stages. Anytime semantics — on expiry
 /// mid-DP the cheapest completed prefix is frozen (its best
 /// end-of-prefix (layer, config) cell is held for the remaining
@@ -111,12 +112,11 @@ int64_t PredictKAwareTableBytes(int64_t num_stages,
 /// that never expires changes nothing: the schedule is byte-identical
 /// to an un-budgeted run.
 ///
-/// `progress` receives "whatif.precompute" / "kaware.dp" updates at
-/// the existing poll sites (thread-safe callback required; see
-/// common/progress.h); `logger` records phase start/end and
-/// anytime-fallback events. Both optional, both observational only.
+/// `ctx.progress` receives "whatif.precompute" / "kaware.dp" updates
+/// at the existing poll sites; `ctx.logger` records phase start/end and
+/// anytime-fallback events. Both are observational only.
 ///
-/// `tracker` (optional) accounts the big allocations — the dense cost
+/// `ctx.tracker` accounts the big allocations — the dense cost
 /// matrix (kCostMatrix) and the DP tables (kKAwareTable). When the
 /// tracker carries a soft byte limit that a reservation would pass,
 /// the solve degrades instead of allocating: it returns
@@ -141,12 +141,7 @@ int64_t PredictKAwareTableBytes(int64_t num_stages,
 Result<DesignSchedule> SolveKAware(const DesignProblem& problem,
                                    std::optional<int64_t> k,
                                    SolveStats* stats = nullptr,
-                                   ThreadPool* pool = nullptr,
-                                   Tracer* tracer = nullptr,
-                                   const Budget* budget = nullptr,
-                                   const ProgressFn* progress = nullptr,
-                                   Logger* logger = nullptr,
-                                   ResourceTracker* tracker = nullptr,
+                                   const SolveContext& ctx = {},
                                    size_t num_blocks = 1);
 
 }  // namespace cdpd

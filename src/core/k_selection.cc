@@ -121,7 +121,7 @@ Result<KSelectionReport> ChooseChangeBound(
   double best = std::numeric_limits<double>::infinity();
   for (const std::optional<int64_t>& k : options.candidate_ks) {
     AdvisorOptions advisor_options = options.advisor;
-    advisor_options.k = k;
+    advisor_options.solve.k = k;
     CDPD_ASSIGN_OR_RETURN(Recommendation rec,
                           advisor.Recommend(design_trace, advisor_options));
     KCandidateOutcome outcome;

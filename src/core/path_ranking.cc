@@ -4,9 +4,9 @@
 #include <limits>
 
 #include "common/math_util.h"
-#include "common/stopwatch.h"
 #include "core/k_aware_graph.h"
 #include "core/relax_stage.h"
+#include "core/solver.h"
 
 namespace cdpd {
 
@@ -22,10 +22,7 @@ PathRanker::PathRanker(const DesignProblem& problem, const CostMatrix& matrix,
   const size_t n = problem.num_segments();
   const size_t m = num_configs_;
   first_.resize(static_cast<size_t>(destination_) + 1);
-  nodes_.assign(
-      first_.size(),
-      NodeState(TrackingAllocator<PathRef>(tracker,
-                                           MemComponent::kRankingQueue)));
+  nodes_.assign(first_.size(), NodeState(Allocator(tracker)));
   if (problem.final_config.has_value()) {
     final_trans_.resize(m);
     for (size_t c = 0; c < m; ++c) {
@@ -169,22 +166,49 @@ std::optional<RankedPath> PathRanker::Next() {
   return path;
 }
 
-Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
-                                      int64_t max_paths, SolveStats* stats,
-                                      ThreadPool* pool, Tracer* tracer,
-                                      const Budget* budget,
-                                      const ProgressFn* progress,
-                                      Logger* logger,
-                                      ResourceTracker* tracker) {
+/// Constrained optimum via shortest-path ranking (§5): enumerate paths
+/// of the *plain* sequence graph in cost order and return the first
+/// whose design sequence has at most options.k changes — optimal
+/// because every path not yet seen is at least as long. Its cost is the
+/// ranked cost, equal to EvaluateScheduleCost bit for bit. Worst-case
+/// exponential; options.ranking_max_paths bounds the enumeration, and
+/// result->method_detail reports the paths ranked. An empty workload
+/// gets the empty schedule at TRANS(C0, final) (0 without a final
+/// design); a graph of more than INT32_MAX nodes is InvalidArgument
+/// before any allocation. Called only by Solve(), with options.k set.
+///
+/// When the enumeration ends without an answer — the cap tripped, the
+/// ranking ran dry, or ctx.budget expired — the solve degrades to the
+/// cheapest feasible *static* schedule (BestStaticSchedule) with
+/// stats.best_effort set, plus stats.deadline_hit when a budget expiry
+/// caused it. Error statuses are reserved for genuinely empty-handed
+/// exits: DeadlineExceeded when the budget expired and not even the
+/// static fallback is feasible, ResourceExhausted when the
+/// cap/exhaustion hit and the fallback is infeasible.
+///
+/// The EXEC/TRANS cost matrices are precomputed in parallel across
+/// ctx.pool before the ranking starts; the enumeration itself is
+/// inherently sequential (each ranked path conditions the next). The
+/// solve records "ranking.precompute" and "ranking.enumerate" spans
+/// (arg = paths enumerated), and reports "ranking.enumerate" progress
+/// as paths yielded over the cap.
+///
+/// ctx.tracker accounts the cost matrix (kCostMatrix) and the ranker's
+/// state (kRankingQueue): its fixed per-node state
+/// (PathRanker::StateBytes) is reserved before either is built, and
+/// the lists that grow during the enumeration are metered through the
+/// ranker's counting allocator. A limit refusal of either reservation
+/// degrades straight to the static fallback; a limit tripped
+/// mid-enumeration winds down at the next poll via the attached
+/// Budget.
+Status SolveByRanking(const DesignProblem& problem,
+                      const SolveOptions& options, const SolveContext& ctx,
+                      SolveResult* result) {
   CDPD_RETURN_IF_ERROR(problem.Validate());
-  if (k < 0) {
-    return Status::InvalidArgument("change bound k must be >= 0");
-  }
-  const WhatIfEngine& what_if = *problem.what_if;
-  const Stopwatch watch;
-  const int64_t costings_before = what_if.costings();
-  SolveStats local_stats;
-  local_stats.threads_used = pool != nullptr ? pool->num_threads() : 1;
+  const int64_t k = *options.k;
+  const int64_t max_paths = options.ranking_max_paths;
+  SolveStats& stats = result->stats;
+  int64_t& paths = stats.paths_enumerated;
   // Node ids are int32: reject a graph that would not be addressable
   // before reserving or allocating anything.
   const size_t n = problem.num_segments();
@@ -199,27 +223,31 @@ Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
         std::to_string(m) +
         " candidate configurations exceeds the 32-bit node id space");
   }
-  // Parallel phase: the dense cost tables. The path enumeration below
-  // is then pure lookups.
-  CDPD_LOG(logger, LogLevel::kInfo, "ranking.start", LogField("segments", n),
-           LogField("candidates", m), LogField("k", k),
-           LogField("max_paths", max_paths));
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, "ranking.start",
+           LogField("segments", n), LogField("candidates", m),
+           LogField("k", k), LogField("max_paths", max_paths));
+  // Every answer, ranked or static, reports the paths ranked.
+  const auto answer = [&](DesignSchedule schedule) {
+    result->schedule = std::move(schedule);
+    result->method_detail = "ranked paths: " + std::to_string(paths);
+    return Status::OK();
+  };
 
   // Charge the dense cost tables and the ranker's per-node state before
   // building either; a refusal skips the enumeration entirely and
   // degrades to the cheapest static schedule (the same last-resort
   // fallback a failed enumeration reaches below).
   ScopedReservation matrix_reservation = ScopedReservation::Try(
-      tracker, MemComponent::kCostMatrix, CostMatrix::EstimateBytes(n, m));
+      ctx.tracker, MemComponent::kCostMatrix, CostMatrix::EstimateBytes(n, m));
   ScopedReservation ranker_reservation;
   if (matrix_reservation.ok()) {
     ranker_reservation =
-        ScopedReservation::Try(tracker, MemComponent::kRankingQueue,
+        ScopedReservation::Try(ctx.tracker, MemComponent::kRankingQueue,
                                PathRanker::StateBytes(n, m));
   }
   if (!matrix_reservation.ok() || !ranker_reservation.ok()) {
-    CDPD_LOG(logger, LogLevel::kWarn, "ranking.memory_limit",
-             LogField("limit_bytes", tracker->limit_bytes()),
+    CDPD_LOG(ctx.logger, LogLevel::kWarn, "ranking.memory_limit",
+             LogField("limit_bytes", ctx.tracker->limit_bytes()),
              LogField("fallback", "best-static"));
     Result<DesignSchedule> fallback = BestStaticSchedule(problem, k);
     if (!fallback.ok()) {
@@ -227,47 +255,38 @@ Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
           "memory budget exhausted before the ranking could start, and "
           "no static design satisfies k = " + std::to_string(k));
     }
-    local_stats.best_effort = true;
-    local_stats.deadline_hit = true;
-    local_stats.wall_seconds = watch.ElapsedSeconds();
-    local_stats.costings = what_if.costings() - costings_before;
-    if (stats != nullptr) *stats = local_stats;
-    return std::move(fallback).value();
+    stats.best_effort = true;
+    stats.deadline_hit = true;
+    return answer(std::move(fallback).value());
   }
 
+  // Parallel phase: the dense cost tables. The path enumeration below
+  // is then pure lookups.
   CostMatrix matrix;
   {
-    CDPD_TRACE_SPAN(tracer, "ranking.precompute", "solver");
+    CDPD_TRACE_SPAN(ctx.tracer, "ranking.precompute", "solver");
     CDPD_ASSIGN_OR_RETURN(
-        matrix, what_if.PrecomputeCostMatrix(problem.candidates, pool, tracer,
-                                             budget, progress, logger));
+        matrix, problem.what_if->PrecomputeCostMatrix(problem.candidates, ctx));
   }
   if (!matrix.complete()) {
     return Status::DeadlineExceeded(
         "budget expired during the what-if precompute, before any "
         "feasible schedule could be priced");
   }
-  local_stats.nodes_expanded = num_nodes;
-  PathRanker ranker(problem, matrix, budget, tracker);
-  TraceSpan enumerate_span(tracer, "ranking.enumerate", "solver");
-  const auto finish = [&] {
-    enumerate_span.set_arg(local_stats.paths_enumerated);
-    local_stats.wall_seconds = watch.ElapsedSeconds();
-    local_stats.costings = what_if.costings() - costings_before;
-    if (stats != nullptr) *stats = local_stats;
-  };
-  while (local_stats.paths_enumerated < max_paths &&
-         !BudgetExpired(budget)) {
+  stats.nodes_expanded = num_nodes;
+  PathRanker ranker(problem, matrix, ctx.budget, ctx.tracker);
+  TraceSpan enumerate_span(ctx.tracer, "ranking.enumerate", "solver");
+  while (paths < max_paths && !BudgetExpired(ctx.budget)) {
     // Every 1024 paths so a megapath enumeration doesn't spend its
     // time in the callback (cost when detached: one AND + one test).
-    if ((local_stats.paths_enumerated & 1023) == 0) {
-      ReportProgress(progress, "ranking.enumerate",
-                     static_cast<double>(local_stats.paths_enumerated) /
+    if ((paths & 1023) == 0) {
+      ReportProgress(ctx.progress, "ranking.enumerate",
+                     static_cast<double>(paths) /
                          static_cast<double>(max_paths));
     }
     std::optional<RankedPath> path = ranker.Next();
     if (!path.has_value()) break;  // Ranking exhausted (or expired).
-    ++local_stats.paths_enumerated;
+    ++paths;
     DesignSchedule schedule;
     schedule.configs.reserve(n);
     for (const ConfigId id : path->configs) {
@@ -276,43 +295,40 @@ Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
     const int64_t changes = CountChanges(problem, schedule.configs);
     if (changes <= k) {
       schedule.total_cost = path->cost;
-      ReportProgress(progress, "ranking.enumerate", 1.0, path->cost);
-      CDPD_LOG(logger, LogLevel::kInfo, "ranking.end",
+      ReportProgress(ctx.progress, "ranking.enumerate", 1.0, path->cost);
+      CDPD_LOG(ctx.logger, LogLevel::kInfo, "ranking.end",
                LogField("cost", path->cost),
-               LogField("paths_enumerated", local_stats.paths_enumerated),
+               LogField("paths_enumerated", paths),
                LogField("changes", changes));
-      finish();
-      return schedule;
+      enumerate_span.set_arg(paths);
+      return answer(std::move(schedule));
     }
   }
+  enumerate_span.set_arg(paths);
   // The enumeration ended empty-handed — max_paths cap, true
   // exhaustion, or budget expiry. Degrade to the cheapest feasible
   // static schedule rather than failing: a flagged suboptimal answer
   // beats no answer, and the caller can read best_effort/deadline_hit
   // to tell. (Cost note: the static scan prices one shape-cost column
   // per candidate, |shapes| costings each.)
-  const bool expired = BudgetExpired(budget);
-  CDPD_LOG(logger, LogLevel::kWarn, "ranking.fallback",
-           LogField("paths_enumerated", local_stats.paths_enumerated),
-           LogField("expired", expired));
+  const bool expired = BudgetExpired(ctx.budget);
+  CDPD_LOG(ctx.logger, LogLevel::kWarn, "ranking.fallback",
+           LogField("paths_enumerated", paths), LogField("expired", expired));
   Result<DesignSchedule> fallback = BestStaticSchedule(problem, k);
   if (fallback.ok()) {
-    local_stats.best_effort = true;
-    local_stats.deadline_hit = expired;
-    finish();
-    return std::move(fallback).value();
+    stats.best_effort = true;
+    stats.deadline_hit = expired;
+    return answer(std::move(fallback).value());
   }
-  finish();
   if (expired) {
     return Status::DeadlineExceeded(
-        "budget expired after " +
-        std::to_string(local_stats.paths_enumerated) +
+        "budget expired after " + std::to_string(paths) +
         " ranked paths, and no static design satisfies k = " +
         std::to_string(k));
   }
   return Status::ResourceExhausted(
       "no path with <= " + std::to_string(k) + " changes within the first " +
-      std::to_string(local_stats.paths_enumerated) +
+      std::to_string(paths) +
       " ranked paths, and no static design satisfies the bound");
 }
 

@@ -6,13 +6,7 @@
 #include <vector>
 
 #include "common/budget.h"
-#include "common/log.h"
-#include "common/progress.h"
-#include "common/result.h"
-#include "common/thread_pool.h"
-#include "common/tracing.h"
 #include "core/design_problem.h"
-#include "core/solve_stats.h"
 
 namespace cdpd {
 
@@ -39,7 +33,7 @@ class PathRanker {
  public:
   /// `problem`, `matrix` (a complete PrecomputeCostMatrix over its
   /// candidates), `budget` and `tracker` must outlive the ranker, and
-  /// n * m + 1 must fit an int32 (SolveByRanking checks). With a
+  /// n * m + 1 must fit an int32 (the ranking method checks). With a
   /// budget, Next() returns nullopt once it expires; callers tell
   /// expiry from exhaustion by checking the budget. With a tracker, the
   /// per-node lists charge their growth to kRankingQueue through a
@@ -80,13 +74,14 @@ class PathRanker {
   /// its true allocated size is metered through the allocator rather
   /// than reserved up front. A default-constructed allocator (no
   /// tracker) counts nothing.
-  using PathRefVec = std::vector<PathRef, TrackingAllocator<PathRef>>;
+  using Allocator = TrackingAllocator<PathRef, MemComponent::kRankingQueue>;
+  using PathRefVec = std::vector<PathRef, Allocator>;
   struct NodeState {
     PathRefVec paths;       // Ranked paths after π^1: rank r at r - 1.
     PathRefVec candidates;  // Min-heap by cost.
     bool initialized_alternatives = false;
     NodeState() = default;
-    explicit NodeState(const TrackingAllocator<PathRef>& alloc)
+    explicit NodeState(const Allocator& alloc)
         : paths(alloc), candidates(alloc) {}
   };
 
@@ -113,57 +108,6 @@ class PathRanker {
   std::vector<NodeState> nodes_;
   int64_t paths_yielded_ = 0;
 };
-
-/// Constrained optimum via shortest-path ranking (§5): enumerate paths
-/// of the *plain* sequence graph in cost order and return the first
-/// whose design sequence has at most k changes — optimal because every
-/// path not yet seen is at least as long. Its cost is the ranked cost,
-/// equal to EvaluateScheduleCost bit for bit. Worst-case exponential;
-/// `max_paths` bounds the enumeration. An empty workload gets the empty
-/// schedule at TRANS(C0, final) (0 without a final design); a graph of
-/// more than INT32_MAX nodes is InvalidArgument before any allocation.
-///
-/// When the enumeration ends without an answer — the `max_paths` cap
-/// tripped, the ranking ran dry, or the `budget` expired — the solve
-/// degrades to the cheapest feasible *static* schedule
-/// (BestStaticSchedule) with stats->best_effort set, plus
-/// stats->deadline_hit when a budget expiry caused it. Error statuses
-/// are reserved for genuinely empty-handed exits: DeadlineExceeded
-/// when the budget expired and not even the static fallback is
-/// feasible, ResourceExhausted when the cap/exhaustion hit and the
-/// fallback is infeasible.
-///
-/// The EXEC/TRANS cost matrices are precomputed in parallel across
-/// `pool` before the ranking starts; the enumeration itself is
-/// inherently sequential (each ranked path conditions the next). With
-/// a `tracer` the solve records "ranking.precompute" and
-/// "ranking.enumerate" spans (arg = paths enumerated). A budget that
-/// never expires changes nothing: the schedule is byte-identical to an
-/// un-budgeted run.
-///
-/// `progress` receives "whatif.precompute" / "ranking.enumerate"
-/// updates at the existing poll sites, the enumeration fraction being
-/// paths yielded over `max_paths` (thread-safe callback required; see
-/// common/progress.h); `logger` records start/end and fallback events.
-/// Both optional, both observational only.
-///
-/// `tracker` (optional) accounts the cost matrix (kCostMatrix) and the
-/// ranker's state (kRankingQueue): its fixed per-node state
-/// (PathRanker::StateBytes) is reserved before either is built, and
-/// the lists that grow during the enumeration are metered through the
-/// ranker's counting allocator. A limit refusal of either reservation
-/// degrades straight to the static fallback; a limit tripped
-/// mid-enumeration winds down at the next poll via the attached
-/// Budget.
-Result<DesignSchedule> SolveByRanking(const DesignProblem& problem, int64_t k,
-                                      int64_t max_paths = 1'000'000,
-                                      SolveStats* stats = nullptr,
-                                      ThreadPool* pool = nullptr,
-                                      Tracer* tracer = nullptr,
-                                      const Budget* budget = nullptr,
-                                      const ProgressFn* progress = nullptr,
-                                      Logger* logger = nullptr,
-                                      ResourceTracker* tracker = nullptr);
 
 }  // namespace cdpd
 

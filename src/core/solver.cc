@@ -5,11 +5,22 @@
 #include "advisor/dominance.h"
 #include "common/stopwatch.h"
 #include "core/design_merging.h"
-#include "core/hybrid_optimizer.h"
 #include "core/k_aware_graph.h"
-#include "core/path_ranking.h"
 
 namespace cdpd {
+
+// The three methods that fill the whole SolveResult. Solve() is their
+// only caller, so they are declared here only; each definition
+// documents its method.
+Status SolveGreedySeq(const DesignProblem& problem,
+                      const SolveOptions& options, const SolveContext& ctx,
+                      SolveResult* result);  // core/greedy_seq.cc
+Status SolveByRanking(const DesignProblem& problem,
+                      const SolveOptions& options, const SolveContext& ctx,
+                      SolveResult* result);  // core/path_ranking.cc
+Status SolveHybrid(const DesignProblem& problem, const SolveOptions& options,
+                   const SolveContext& ctx,
+                   SolveResult* result);  // core/hybrid_optimizer.cc
 
 std::string_view OptimizerMethodToString(OptimizerMethod method) {
   switch (method) {
@@ -89,8 +100,10 @@ Status SolveOptions::Validate() const {
         "change bound k must be >= 0 when set (use nullopt for "
         "unconstrained)");
   }
-  if (num_threads < 0) {
-    return Status::InvalidArgument("num_threads must be >= 0");
+  if (num_threads < 0 || num_threads > ThreadPool::kMaxThreads) {
+    return Status::InvalidArgument(
+        "num_threads must be in [0, " +
+        std::to_string(ThreadPool::kMaxThreads) + "]");
   }
   if (ranking_max_paths <= 0) {
     return Status::InvalidArgument("ranking_max_paths must be positive");
@@ -115,42 +128,46 @@ Status SolveOptions::Validate() const {
 Result<SolveResult> Solve(const DesignProblem& problem,
                           const SolveOptions& options) {
   CDPD_RETURN_IF_ERROR(options.Validate());
+  if (problem.what_if == nullptr) {
+    return Status::InvalidArgument("design problem has no what-if oracle");
+  }
+  const WhatIfEngine& what_if = *problem.what_if;
 
+  // The solve's shared state, handed to every phase below.
+  SolveContext ctx;
   // A borrowed pool (AdvisorService's amortization path) wins over
   // num_threads; otherwise the solve owns a pool for its duration.
   std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* pool = options.pool;
+  ctx.pool = options.pool;
   int threads;
-  if (pool != nullptr) {
-    threads = pool->num_threads();
+  if (ctx.pool != nullptr) {
+    threads = ctx.pool->num_threads();
   } else {
     threads = options.num_threads == 0 ? ThreadPool::DefaultThreadCount()
                                        : options.num_threads;
     if (threads > 1) {
       owned_pool = std::make_unique<ThreadPool>(threads);
-      pool = owned_pool.get();
+      ctx.pool = owned_pool.get();
     }
   }
   const Observability& obs = options.observability;
-  Tracer* const tracer = obs.tracer;
-  Logger* const logger = obs.logger;
+  ctx.tracer = obs.tracer;
+  ctx.logger = obs.logger;
   // Null when no callback is injected, so every ReportProgress site
   // downstream is a single pointer test.
-  const ProgressFn* const progress = obs.progress ? &obs.progress : nullptr;
+  ctx.progress = obs.progress ? &obs.progress : nullptr;
   if (obs.metrics != nullptr) {
-    if (pool != nullptr) pool->EnableMetrics(obs.metrics);
-    if (problem.what_if != nullptr) {
-      problem.what_if->SetMetrics(obs.metrics);
-    }
+    if (ctx.pool != nullptr) ctx.pool->EnableMetrics(obs.metrics);
+    what_if.SetMetrics(obs.metrics);
   }
-  if (logger != nullptr && pool != nullptr) pool->EnableLogging(logger);
-  CDPD_LOG(logger, LogLevel::kInfo, "solve.start",
+  if (ctx.logger != nullptr && ctx.pool != nullptr) {
+    ctx.pool->EnableLogging(ctx.logger);
+  }
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, "solve.start",
            LogField("method", OptimizerMethodToString(options.method)),
            LogField("k", options.k.value_or(-1)),  // -1 = unconstrained.
            LogField("threads", threads),
-           LogField("segments", problem.what_if != nullptr
-                                    ? problem.num_segments()
-                                    : size_t{0}),
+           LogField("segments", problem.num_segments()),
            LogField("candidates", problem.candidates.size()),
            LogField("deadline_ms",
                     options.deadline.has_value() ? options.deadline->count()
@@ -161,6 +178,7 @@ Result<SolveResult> Solve(const DesignProblem& problem,
   // concurrent high-water mark across phases. Carries the soft byte
   // budget when one is set.
   ResourceTracker tracker(options.memory_limit_bytes.value_or(0));
+  ctx.tracker = &tracker;
 
   // One Budget for the whole solve, shared by every phase. Built only
   // when a deadline, cancel token, or memory limit is set, so the
@@ -168,20 +186,19 @@ Result<SolveResult> Solve(const DesignProblem& problem,
   // test. The clock starts here: pool spin-up above is deliberately
   // not charged (it is bounded and paid before any cancellable work).
   Budget owned_budget;
-  const Budget* budget = nullptr;
   if (options.deadline.has_value()) {
     owned_budget = Budget(
         std::chrono::duration_cast<std::chrono::nanoseconds>(*options.deadline),
         options.cancel);
-    budget = &owned_budget;
+    ctx.budget = &owned_budget;
   } else if (options.cancel != nullptr) {
     owned_budget = Budget(options.cancel);
-    budget = &owned_budget;
+    ctx.budget = &owned_budget;
   } else if (options.memory_limit_bytes.has_value()) {
     owned_budget = Budget();
-    budget = &owned_budget;
+    ctx.budget = &owned_budget;
   }
-  if (budget != nullptr && options.memory_limit_bytes.has_value()) {
+  if (ctx.budget != nullptr && options.memory_limit_bytes.has_value()) {
     // Memory expiry rides the same poll sites as a deadline: once a
     // reservation trips the tracker's limit, the next BudgetExpired
     // poll winds the solve down through its anytime fallback.
@@ -190,24 +207,22 @@ Result<SolveResult> Solve(const DesignProblem& problem,
 
   const int64_t cpu_before = ProcessCpuTimeMicros();
   const Stopwatch watch;
+  // One engine-counter difference over pruning and dispatch, whatever
+  // the method runs; the explain pass below is not counted.
+  const int64_t costings_before = what_if.costings();
 
   // Dominance pruning runs before dispatch so every method sees the
   // reduced candidate space. The dispatched problem is a shallow copy
-  // sharing the what-if oracle; pruning's probe costs are folded into
-  // stats.costings after dispatch (sub-solvers reset stats wholesale).
+  // sharing the what-if oracle.
+  SolveResult result;
+  result.tracer = ctx.tracer;
   const DesignProblem* active = &problem;
   DesignProblem pruned_problem;
-  int64_t pruned_configs = 0;
-  int64_t prune_costings = 0;
-  if (options.prune_dominated && problem.what_if != nullptr &&
-      problem.candidates.size() > 1) {
-    CDPD_TRACE_SPAN(tracer, "solve.prune", "solver",
+  if (options.prune_dominated && problem.candidates.size() > 1) {
+    CDPD_TRACE_SPAN(ctx.tracer, "solve.prune", "solver",
                     static_cast<int64_t>(problem.candidates.size()));
-    const int64_t costings_before = problem.what_if->costings();
-    DominanceResult pruned =
-        PruneDominatedConfigs(problem, pool, budget, logger, &tracker);
-    prune_costings = problem.what_if->costings() - costings_before;
-    pruned_configs = pruned.pruned;
+    DominanceResult pruned = PruneDominatedConfigs(problem, ctx);
+    result.stats.pruned_configs = pruned.pruned;
     if (pruned.pruned > 0) {
       pruned_problem = problem;
       pruned_problem.candidates = problem.candidates.Subset(pruned.survivors);
@@ -215,9 +230,8 @@ Result<SolveResult> Solve(const DesignProblem& problem,
     }
   }
 
-  SolveResult result;
-  result.tracer = tracer;
-  CDPD_TRACE_SPAN(tracer, MethodSpanName(options.method), "solver",
+  // Every method writes its schedule and its own counters into result.
+  CDPD_TRACE_SPAN(ctx.tracer, MethodSpanName(options.method), "solver",
                   options.k.value_or(Tracer::kNoArg));
   if (!options.k.has_value() &&
       options.method != OptimizerMethod::kGreedySeq) {
@@ -225,8 +239,7 @@ Result<SolveResult> Solve(const DesignProblem& problem,
     // reduced candidate set) is exact as the sequence-graph optimum.
     CDPD_ASSIGN_OR_RETURN(
         result.schedule,
-        SolveKAware(*active, std::nullopt, &result.stats, pool, tracer,
-                    budget, progress, logger, &tracker));
+        SolveKAware(*active, std::nullopt, &result.stats, ctx));
     result.method_detail = UnconstrainedDetail(options.method);
     result.unconstrained_cost = result.schedule.total_cost;
   } else {
@@ -234,74 +247,38 @@ Result<SolveResult> Solve(const DesignProblem& problem,
       case OptimizerMethod::kOptimal: {
         CDPD_ASSIGN_OR_RETURN(
             result.schedule,
-            SolveKAware(*active, options.k, &result.stats, pool, tracer,
-                        budget, progress, logger, &tracker,
+            SolveKAware(*active, options.k, &result.stats, ctx,
                         static_cast<size_t>(options.segmented.num_chunks)));
         result.method_detail = "k-aware sequence graph";
         break;
       }
-      case OptimizerMethod::kGreedySeq: {
-        CDPD_ASSIGN_OR_RETURN(
-            GreedySeqResult greedy_result,
-            SolveGreedySeq(*active, options.k, options.greedy, pool, tracer,
-                           budget, progress, logger, &tracker));
-        result.schedule = std::move(greedy_result.schedule);
-        result.stats = greedy_result.stats;
-        result.reduced_candidates =
-            std::move(greedy_result.reduced_candidates);
-        result.method_detail =
-            "greedy-seq reduced candidates: " +
-            std::to_string(result.reduced_candidates.size());
+      case OptimizerMethod::kGreedySeq:
+        CDPD_RETURN_IF_ERROR(SolveGreedySeq(*active, options, ctx, &result));
         break;
-      }
       case OptimizerMethod::kMerging: {
         CDPD_ASSIGN_OR_RETURN(
             DesignSchedule unconstrained,
-            SolveKAware(*active, std::nullopt, &result.stats, pool, tracer,
-                        budget, progress, logger, &tracker));
+            SolveKAware(*active, std::nullopt, &result.stats, ctx));
         result.unconstrained_cost = unconstrained.total_cost;
-        SolveStats merge_stats;
         CDPD_ASSIGN_OR_RETURN(
             result.schedule,
             MergeToConstraint(*active, unconstrained, *options.k,
-                              &merge_stats, pool, tracer, budget, progress,
-                              logger, &tracker));
-        result.stats.Accumulate(merge_stats);
+                              &result.stats, ctx));
         result.method_detail =
-            "merging steps: " + std::to_string(merge_stats.merge_steps);
+            "merging steps: " + std::to_string(result.stats.merge_steps);
         break;
       }
-      case OptimizerMethod::kRanking: {
-        CDPD_ASSIGN_OR_RETURN(
-            result.schedule,
-            SolveByRanking(*active, *options.k, options.ranking_max_paths,
-                           &result.stats, pool, tracer, budget, progress,
-                           logger, &tracker));
-        result.method_detail =
-            "ranked paths: " + std::to_string(result.stats.paths_enumerated);
+      case OptimizerMethod::kRanking:
+        CDPD_RETURN_IF_ERROR(SolveByRanking(*active, options, ctx, &result));
         break;
-      }
-      case OptimizerMethod::kHybrid: {
-        CDPD_ASSIGN_OR_RETURN(
-            HybridResult hybrid,
-            SolveHybrid(*active, *options.k, pool, tracer, budget, progress,
-                        logger, &tracker));
-        result.schedule = std::move(hybrid.schedule);
-        result.stats = hybrid.stats;
-        result.unconstrained_cost = hybrid.unconstrained_cost;
-        result.method_detail =
-            std::string("hybrid chose ") +
-            std::string(HybridChoiceToString(hybrid.choice));
+      case OptimizerMethod::kHybrid:
+        CDPD_RETURN_IF_ERROR(SolveHybrid(*active, options, ctx, &result));
         break;
-      }
     }
   }
-  // Pruning ran before the dispatched solver reset the stats, so its
-  // contribution is folded in here.
-  result.stats.pruned_configs = pruned_configs;
-  result.stats.costings += prune_costings;
-  // The per-solver wall times cover their own phases; the top-level
-  // clock covers dispatch plus pool setup and is what callers see.
+  // The solve-wide counters, once for every method: the clock covers
+  // pruning and dispatch, not pool setup.
+  result.stats.costings = what_if.costings() - costings_before;
   result.stats.wall_seconds = watch.ElapsedSeconds();
   result.stats.cpu_seconds =
       static_cast<double>(ProcessCpuTimeMicros() - cpu_before) / 1e6;
@@ -327,7 +304,7 @@ Result<SolveResult> Solve(const DesignProblem& problem,
         result.method_detail, options.k, result.stats,
         result.unconstrained_cost);
   }
-  CDPD_LOG(logger, LogLevel::kInfo, "solve.end",
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, "solve.end",
            LogField("cost", result.schedule.total_cost),
            LogField("deadline_hit", result.stats.deadline_hit),
            LogField("best_effort", result.stats.best_effort),

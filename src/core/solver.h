@@ -53,17 +53,19 @@ struct SegmentSolveOptions {
 };
 
 /// Everything that parameterizes one Solve() call, uniform across the
-/// five techniques. Replaces the divergent free-function signatures
-/// (SolveKAware/SolveGreedySeq/SolveHybrid/SolveByRanking), which
-/// remain available as lower-level entry points.
+/// five techniques. Solve() is the one entry point to all five; of the
+/// pieces it composes only SolveKAware (core/k_aware_graph.h) and
+/// MergeToConstraint (core/design_merging.h) are public, for tests and
+/// benches that exercise one phase alone.
 struct SolveOptions {
   OptimizerMethod method = OptimizerMethod::kOptimal;
   /// Change bound k; nullopt = unconstrained (no magic -1 sentinel).
   std::optional<int64_t> k;
   /// Worker threads for the what-if precompute and the DP sweeps.
   /// 0 = ThreadPool::DefaultThreadCount() (the CDPD_THREADS
-  /// environment variable, else the hardware concurrency); 1 = serial.
-  /// Results are identical for any value.
+  /// environment variable, else the hardware concurrency); 1 = serial;
+  /// at most ThreadPool::kMaxThreads. Results are identical for any
+  /// value.
   int num_threads = 0;
   /// Borrowed worker pool (optional — must outlive the Solve call).
   /// When set it overrides num_threads and the solve spins up no pool
@@ -140,27 +142,29 @@ struct SolveOptions {
   std::optional<int64_t> memory_limit_bytes;
 
   /// All option validation in one place: k >= 0 when set,
-  /// num_threads >= 0, ranking_max_paths > 0, deadline >= 0 when set,
-  /// memory_limit_bytes > 0 when set, greedy candidate indexes
-  /// present for kGreedySeq, and segmented.num_chunks >= 0
-  /// (segmented.Validate()).
+  /// 0 <= num_threads <= ThreadPool::kMaxThreads, ranking_max_paths >
+  /// 0, deadline >= 0 when set, memory_limit_bytes > 0 when set, greedy
+  /// candidate indexes present for kGreedySeq, and
+  /// segmented.num_chunks >= 0 (segmented.Validate()).
   Status Validate() const;
 };
 
 /// Uniform outcome of a Solve() call.
 struct SolveResult {
   DesignSchedule schedule;
-  /// Unified counters (wall time, costings, threads used, nodes
-  /// expanded, ...) for every method.
+  /// Unified counters for every method. Solve() sets the solve-wide
+  /// ones (wall and CPU time, costings, threads used, memory); the
+  /// method sets its own (nodes expanded, relaxations, paths, merge
+  /// steps, ...).
   SolveStats stats;
   /// Technique detail (e.g. which branch the hybrid picked).
   std::string method_detail;
   /// kGreedySeq only: the reduced configuration set the graph search
   /// actually ran on (empty for every other method).
   std::vector<Configuration> reduced_candidates;
-  /// The tracer the solve recorded into (== SolveOptions::tracer;
-  /// null when tracing was off). Export its spans with
-  /// Tracer::ToChromeJson() / ToTextTree().
+  /// The tracer the solve recorded into (==
+  /// SolveOptions::observability.tracer; null when tracing was off).
+  /// Export its spans with Tracer::ToChromeJson() / ToTextTree().
   Tracer* tracer = nullptr;
   /// Cost of the unconstrained optimum, when the method computed one
   /// on the way (every unconstrained dispatch, merging's first phase,
@@ -181,7 +185,10 @@ struct SolveResult {
 /// sequence-graph optimum (SolveKAware with k unset), which is exact
 /// for all of them. A thread pool of options.num_threads workers is
 /// spun up for the what-if precompute and the parallel DP sweeps;
-/// schedules and costs are identical for any thread count.
+/// schedules and costs are identical for any thread count. Solve()
+/// builds the solve's shared state once (pool, budget, resource
+/// tracker and sinks, one common/solve_context.h SolveContext) and
+/// hands it to every phase.
 ///
 /// With options.deadline / options.cancel set the solve is *anytime*:
 /// expiry or cancellation makes it return its best feasible schedule

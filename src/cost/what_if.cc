@@ -242,12 +242,11 @@ class NonFiniteCell {
 }  // namespace
 
 Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
-    const CandidateSpace& candidates, ThreadPool* pool, Tracer* tracer,
-    const Budget* budget, const ProgressFn* progress, Logger* logger) const {
+    const CandidateSpace& candidates, const SolveContext& ctx) const {
   const size_t n = segments_.size();
   const size_t m = candidates.size();
   CostMatrix matrix(n, m);
-  CDPD_LOG(logger, LogLevel::kInfo, "whatif.precompute.start",
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, "whatif.precompute.start",
            LogField("segments", n), LogField("configs", m),
            LogField("exec_cells", n * m), LogField("trans_cells", m * m));
   NonFiniteCell bad_exec;
@@ -261,12 +260,12 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
   std::atomic<size_t> tasks_done{0};
   bool complete = false;
   {
-    CDPD_TRACE_SPAN(tracer, "whatif.exec_matrix", "whatif",
+    CDPD_TRACE_SPAN(ctx.tracer, "whatif.exec_matrix", "whatif",
                     static_cast<int64_t>(n * m));
     const size_t shapes = workload_profile_.size();
     std::vector<double> shape_costs(shapes * m);
     complete = ParallelFor(
-        pool, 0, m,
+        ctx.pool, 0, m,
         [&](size_t config) {
           std::vector<double> column(shapes);
           FillColumn(candidates[config], column);
@@ -274,7 +273,7 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
             shape_costs[shape * m + config] = column[shape];
           }
         },
-        budget);
+        ctx.budget);
     const size_t tasks = (n + kExecRowsPerTask - 1) / kExecRowsPerTask;
     const auto fill_rows = [&](size_t task) {
       const size_t end = std::min(n, (task + 1) * kExecRowsPerTask);
@@ -296,14 +295,16 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
       }
       const size_t done =
           tasks_done.fetch_add(1, std::memory_order_relaxed) + 1;
-      ReportProgress(progress, "whatif.precompute",
+      ReportProgress(ctx.progress, "whatif.precompute",
                      static_cast<double>(done) / static_cast<double>(tasks));
     };
-    if (complete) complete = ParallelFor(pool, 0, tasks, fill_rows, budget);
+    if (complete) {
+      complete = ParallelFor(ctx.pool, 0, tasks, fill_rows, ctx.budget);
+    }
   }
   // TRANS over all candidate pairs (pure model arithmetic).
   {
-    CDPD_TRACE_SPAN(tracer, "whatif.trans_matrix", "whatif",
+    CDPD_TRACE_SPAN(ctx.tracer, "whatif.trans_matrix", "whatif",
                     static_cast<int64_t>(m * m));
     bool trans_complete = true;
     if (candidates.exact_masks()) {
@@ -322,7 +323,7 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
       }
       const std::vector<uint64_t>& masks = candidates.masks();
       trans_complete = ParallelFor(
-          pool, 0, m,
+          ctx.pool, 0, m,
           [&](size_t from) {
             const uint64_t from_mask = masks[from];
             for (size_t to = 0; to < m; ++to) {
@@ -344,11 +345,11 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
               matrix.MutableTrans(from, to) = cost;
             }
           },
-          budget);
+          ctx.budget);
       matrix.SetIndexCosts(std::move(build_cost), std::move(drop_cost));
     } else {
       trans_complete = ParallelFor(
-          pool, 0, m * m,
+          ctx.pool, 0, m * m,
           [&](size_t i) {
             const size_t from = i / m;
             const size_t to = i % m;
@@ -360,7 +361,7 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
             if (!std::isfinite(cost)) bad_trans.Record(i);
             matrix.MutableTrans(from, to) = cost;
           },
-          budget);
+          ctx.budget);
     }
     complete = complete && trans_complete;
   }
@@ -387,10 +388,10 @@ Result<CostMatrix> WhatIfEngine::PrecomputeCostMatrix(
   matrix.set_complete(complete);
   matrix.Finalize();
   if (!complete) {
-    CDPD_LOG(logger, LogLevel::kWarn, "whatif.precompute.interrupted",
+    CDPD_LOG(ctx.logger, LogLevel::kWarn, "whatif.precompute.interrupted",
              LogField("segments", n), LogField("configs", m));
   }
-  CDPD_LOG(logger, LogLevel::kInfo, "whatif.precompute.end",
+  CDPD_LOG(ctx.logger, LogLevel::kInfo, "whatif.precompute.end",
            LogField("complete", complete),
            LogField("costings", costings()));
   return matrix;

@@ -10,13 +10,9 @@
 
 #include "advisor/candidate_space.h"
 #include "catalog/configuration.h"
-#include "common/budget.h"
-#include "common/log.h"
 #include "common/metrics.h"
-#include "common/progress.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
-#include "common/tracing.h"
+#include "common/solve_context.h"
 #include "cost/cost_model.h"
 #include "workload/workload.h"
 
@@ -230,8 +226,8 @@ class WhatIfEngine {
 
   /// Fills the dense EXEC matrix over all (segment, ConfigId) pairs
   /// and the TRANS matrix over all ConfigId pairs of the pinned
-  /// `candidates` space, fanning the work out across `pool` (serial
-  /// when pool is null), then builds the change-edge table
+  /// `candidates` space, fanning the work out across `ctx.pool`
+  /// (serial when it is null), then builds the change-edge table
   /// (Finalize). This is the single enumeration entry point:
   /// the solvers never cost materialized Configuration vectors.
   ///
@@ -243,7 +239,7 @@ class WhatIfEngine {
   /// O(|shapes| x m) costings plus O(nnz x m) arithmetic, nnz being the
   /// total number of per-segment profile entries. Results, and
   /// costings(), are identical for any thread count, with or without
-  /// `tracer` or `progress`.
+  /// `ctx.tracer` or `ctx.progress`.
   ///
   /// With exact masks (candidates.exact_masks()), the TRANS matrix is
   /// computed additively from per-universe-index build/drop costs via
@@ -260,20 +256,19 @@ class WhatIfEngine {
   /// and configuration (the lowest flattened cell index wins, so the
   /// error is deterministic for any thread count).
   ///
-  /// `budget` (optional) makes the fill cooperatively interruptible:
+  /// `ctx.budget` (optional) makes the fill cooperatively interruptible:
   /// on expiry the remaining columns or row ranges are skipped and the
   /// returned matrix has complete() == false. Cancellation is polled
   /// between them, so mid-precompute Cancel() from another thread is
   /// safe.
   ///
-  /// `progress` (optional) receives a "whatif.precompute" update as
+  /// `ctx.progress` (optional) receives a "whatif.precompute" update as
   /// each range of EXEC rows completes — invoked from worker threads,
   /// so the callback must be thread-safe (see common/progress.h).
-  /// `logger` (optional) records precompute start/end events.
-  Result<CostMatrix> PrecomputeCostMatrix(
-      const CandidateSpace& candidates, ThreadPool* pool = nullptr,
-      Tracer* tracer = nullptr, const Budget* budget = nullptr,
-      const ProgressFn* progress = nullptr, Logger* logger = nullptr) const;
+  /// `ctx.logger` (optional) records precompute start/end events;
+  /// `ctx.tracker` is not read.
+  Result<CostMatrix> PrecomputeCostMatrix(const CandidateSpace& candidates,
+                                         const SolveContext& ctx = {}) const;
 
   /// Mirrors the engine's costings into the "whatif.costings" counter
   /// of `registry`. Pass nullptr to detach. Safe to call concurrently

@@ -82,8 +82,10 @@ Status ServiceOptions::Validate() const {
   if (k.has_value() && *k < 0) {
     return Status::InvalidArgument("default k must be >= 0 when set");
   }
-  if (num_threads < 0) {
-    return Status::InvalidArgument("num_threads must be >= 0");
+  if (num_threads < 0 || num_threads > ThreadPool::kMaxThreads) {
+    return Status::InvalidArgument(
+        "num_threads must be in [0, " +
+        std::to_string(ThreadPool::kMaxThreads) + "]");
   }
   if (default_deadline.has_value() && default_deadline->count() < 0) {
     return Status::InvalidArgument("default_deadline must be >= 0 when set");

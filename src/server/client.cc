@@ -71,8 +71,11 @@ std::string GenerateClientRequestId() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count();
   static std::atomic<uint64_t> next{0};
-  return "c" + std::to_string(epoch_us) + "-" +
-         std::to_string(next.fetch_add(1, std::memory_order_relaxed));
+  std::string id = "c";
+  id += std::to_string(epoch_us);
+  id += "-";
+  id += std::to_string(next.fetch_add(1, std::memory_order_relaxed));
+  return id;
 }
 
 }  // namespace

@@ -157,7 +157,9 @@ class ByteCursor {
 /// enough — no nesting, no arrays, no escaped quotes inside keys.
 bool FindJsonValue(std::string_view json, std::string_view key,
                    std::string_view* value) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  std::string needle = "\"";
+  needle += key;
+  needle += "\":";
   const size_t at = json.find(needle);
   if (at == std::string_view::npos) return false;
   size_t start = at + needle.size();

@@ -76,7 +76,7 @@ TEST(DominanceTest, ExpiredBudgetAcceptsRemainderUnpruned) {
   const DesignProblem problem = WithDuplicates(fixture->problem, 4);
   const Budget expired(std::chrono::nanoseconds{0});
   const DominanceResult result =
-      PruneDominatedConfigs(problem, nullptr, &expired);
+      PruneDominatedConfigs(problem, {.budget = &expired});
   EXPECT_EQ(result.pruned, 0);
   EXPECT_EQ(result.survivors.size(), problem.candidates.size());
 }
@@ -86,7 +86,7 @@ TEST(DominanceTest, RefusedMemoryReservationIsIdentity) {
   const DesignProblem problem = WithDuplicates(fixture->problem, 4);
   ResourceTracker tracker(/*limit_bytes=*/1);
   const DominanceResult result =
-      PruneDominatedConfigs(problem, nullptr, nullptr, nullptr, &tracker);
+      PruneDominatedConfigs(problem, {.tracker = &tracker});
   EXPECT_EQ(result.pruned, 0);
   EXPECT_EQ(result.survivors.size(), problem.candidates.size());
 }
@@ -98,7 +98,7 @@ TEST(DominanceTest, DeterministicForAnyThreadCount) {
   const DominanceResult serial = PruneDominatedConfigs(problem);
   for (int threads : {2, 4}) {
     ThreadPool pool(threads);
-    const DominanceResult parallel = PruneDominatedConfigs(problem, &pool);
+    const DominanceResult parallel = PruneDominatedConfigs(problem, {.pool = &pool});
     EXPECT_EQ(parallel.survivors, serial.survivors) << threads << " threads";
     EXPECT_EQ(parallel.pruned, serial.pruned);
   }

@@ -147,21 +147,26 @@ TEST(ScopedReservationTest, NullTrackerIsASuccessfulNoOp) {
 }
 
 TEST(TrackingAllocatorTest, ContainerGrowthIsChargedAndReleased) {
+  using Allocator = TrackingAllocator<int64_t, MemComponent::kMergingTable>;
+  // The component is part of the type: the allocator is one pointer.
+  static_assert(sizeof(Allocator) == sizeof(ResourceTracker*));
   ResourceTracker tracker;
   {
-    std::vector<int64_t, TrackingAllocator<int64_t>> v(
-        TrackingAllocator<int64_t>(&tracker, MemComponent::kRankingQueue));
+    std::vector<int64_t, Allocator> v{Allocator(&tracker)};
     for (int i = 0; i < 1000; ++i) v.push_back(i);
-    EXPECT_GE(tracker.current_bytes(MemComponent::kRankingQueue),
+    EXPECT_GE(tracker.current_bytes(MemComponent::kMergingTable),
               static_cast<int64_t>(1000 * sizeof(int64_t)));
+    EXPECT_EQ(tracker.current_bytes(MemComponent::kRankingQueue), 0);
   }
-  EXPECT_EQ(tracker.current_bytes(MemComponent::kRankingQueue), 0);
-  EXPECT_GE(tracker.peak_bytes(MemComponent::kRankingQueue),
+  EXPECT_EQ(tracker.current_bytes(MemComponent::kMergingTable), 0);
+  EXPECT_GE(tracker.peak_bytes(MemComponent::kMergingTable),
             static_cast<int64_t>(1000 * sizeof(int64_t)));
 }
 
 TEST(TrackingAllocatorTest, DefaultAllocatorCountsNothing) {
-  std::vector<int64_t, TrackingAllocator<int64_t>> v;
+  std::vector<int64_t,
+              TrackingAllocator<int64_t, MemComponent::kRankingQueue>>
+      v;
   for (int i = 0; i < 100; ++i) v.push_back(i);
   EXPECT_EQ(v.size(), 100u);  // Allocation works without a tracker.
 }

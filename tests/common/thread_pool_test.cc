@@ -26,6 +26,15 @@ TEST(ThreadPoolTest, DefaultThreadCountHonorsEnvironment) {
   // wrap (2^32 + 1 read as 1).
   ASSERT_EQ(setenv("CDPD_THREADS", "4294967297", 1), 0);
   EXPECT_EQ(ThreadPool::DefaultThreadCount(), hardware);
+  // The cap is a valid count; one past it, or any count up to
+  // INT32_MAX, is malformed. No pool is built here.
+  EXPECT_LE(hardware, ThreadPool::kMaxThreads);
+  ASSERT_EQ(setenv("CDPD_THREADS", "1024", 1), 0);
+  EXPECT_EQ(ThreadPool::DefaultThreadCount(), ThreadPool::kMaxThreads);
+  ASSERT_EQ(setenv("CDPD_THREADS", "1025", 1), 0);
+  EXPECT_EQ(ThreadPool::DefaultThreadCount(), hardware);
+  ASSERT_EQ(setenv("CDPD_THREADS", "2147483647", 1), 0);
+  EXPECT_EQ(ThreadPool::DefaultThreadCount(), hardware);
   ASSERT_EQ(unsetenv("CDPD_THREADS"), 0);
 }
 

@@ -22,8 +22,8 @@ class AdvisorTest : public ::testing::Test {
                              OptimizerMethod method) {
     AdvisorOptions options;
     options.block_size = 100;
-    options.k = k;
-    options.method = method;
+    options.solve.k = k;
+    options.solve.method = method;
     return options;
   }
 
@@ -70,7 +70,7 @@ TEST_F(AdvisorTest, RankingMethodWorksOnCoarseBlocks) {
 TEST_F(AdvisorTest, RankingExhaustionSurfacesAsResourceExhausted) {
   Advisor advisor(model_.get());
   AdvisorOptions options = BaseOptions(0, OptimizerMethod::kRanking);
-  options.ranking_max_paths = 3;
+  options.solve.ranking_max_paths = 3;
   const auto status = advisor.Recommend(workload_, options).status();
   if (!status.ok()) {
     EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);

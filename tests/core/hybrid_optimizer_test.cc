@@ -1,31 +1,38 @@
-#include "core/hybrid_optimizer.h"
+// The §6.4 hybrid, reached through Solve(): its choice is the
+// method_detail it reports.
 
 #include <gtest/gtest.h>
 
 #include "core/k_aware_graph.h"
+#include "core/solver.h"
 #include "test_util.h"
 
 namespace cdpd {
 namespace {
 
 using testing_util::MakeRandomProblem;
+using testing_util::SolveWith;
 
 TEST(HybridOptimizerTest, ReturnsUnconstrainedWhenItFits) {
   auto fixture = MakeRandomProblem(110, 6, 15);
-  auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
+  auto unconstrained =
+      SolveWith(fixture->problem, OptimizerMethod::kOptimal, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
-  const int64_t l = CountChanges(fixture->problem, unconstrained->configs);
-  auto hybrid = SolveHybrid(fixture->problem, l);
+  const int64_t l =
+      CountChanges(fixture->problem, unconstrained->schedule.configs);
+  auto hybrid = SolveWith(fixture->problem, OptimizerMethod::kHybrid, l);
   ASSERT_TRUE(hybrid.ok());
-  EXPECT_EQ(hybrid->choice, HybridChoice::kUnconstrainedSufficed);
-  EXPECT_EQ(hybrid->unconstrained_changes, l);
-  EXPECT_NEAR(hybrid->schedule.total_cost, unconstrained->total_cost, 1e-9);
+  EXPECT_EQ(hybrid->method_detail, "hybrid chose unconstrained");
+  EXPECT_EQ(CountChanges(fixture->problem, hybrid->schedule.configs), l);
+  EXPECT_EQ(hybrid->unconstrained_cost, unconstrained->schedule.total_cost);
+  EXPECT_NEAR(hybrid->schedule.total_cost,
+              unconstrained->schedule.total_cost, 1e-9);
 }
 
 TEST(HybridOptimizerTest, AlwaysSatisfiesConstraint) {
   auto fixture = MakeRandomProblem(111, 10, 12);
   for (int64_t k = 0; k <= 6; ++k) {
-    auto hybrid = SolveHybrid(fixture->problem, k);
+    auto hybrid = SolveWith(fixture->problem, OptimizerMethod::kHybrid, k);
     ASSERT_TRUE(hybrid.ok()) << "k=" << k;
     EXPECT_LE(CountChanges(fixture->problem, hybrid->schedule.configs), k);
   }
@@ -36,9 +43,9 @@ TEST(HybridOptimizerTest, SmallKUsesGraphAndIsOptimal) {
   // then ask for k = 0: graph work (1*n*|C|^2) ~ merging work only if
   // l is large; with n small the graph side wins.
   auto fixture = MakeRandomProblem(112, 12, 10);
-  auto hybrid = SolveHybrid(fixture->problem, 0);
+  auto hybrid = SolveWith(fixture->problem, OptimizerMethod::kHybrid, 0);
   ASSERT_TRUE(hybrid.ok());
-  if (hybrid->choice == HybridChoice::kKAwareGraph) {
+  if (hybrid->method_detail == "hybrid chose k-aware-graph") {
     auto optimal = SolveKAware(fixture->problem, 0);
     ASSERT_TRUE(optimal.ok());
     EXPECT_NEAR(hybrid->schedule.total_cost, optimal->total_cost, 1e-9);
@@ -47,37 +54,53 @@ TEST(HybridOptimizerTest, SmallKUsesGraphAndIsOptimal) {
 
 TEST(HybridOptimizerTest, ChoiceFollowsWorkEstimates) {
   auto fixture = MakeRandomProblem(113, 12, 10);
-  auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
+  auto unconstrained =
+      SolveWith(fixture->problem, OptimizerMethod::kOptimal, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
-  const int64_t l = CountChanges(fixture->problem, unconstrained->configs);
+  const int64_t l =
+      CountChanges(fixture->problem, unconstrained->schedule.configs);
   if (l < 2) GTEST_SKIP() << "fixture produced a trivial schedule";
   const auto n = static_cast<double>(fixture->problem.num_segments());
   const auto c = static_cast<double>(fixture->problem.candidates.size());
   for (int64_t k = 0; k < l; ++k) {
-    auto hybrid = SolveHybrid(fixture->problem, k);
+    auto hybrid = SolveWith(fixture->problem, OptimizerMethod::kHybrid, k);
     ASSERT_TRUE(hybrid.ok());
     const double graph_work = static_cast<double>(k + 1) * n * c * c;
     const double merging_work =
         c * static_cast<double>(l * l - k * k) / 2.0;
-    EXPECT_EQ(hybrid->choice, graph_work <= merging_work
-                                  ? HybridChoice::kKAwareGraph
-                                  : HybridChoice::kMerging)
+    EXPECT_EQ(hybrid->method_detail, graph_work <= merging_work
+                                         ? "hybrid chose k-aware-graph"
+                                         : "hybrid chose merging")
         << "k=" << k;
   }
 }
 
 TEST(HybridOptimizerTest, RejectsNegativeK) {
   auto fixture = MakeRandomProblem(114, 3, 10);
-  EXPECT_EQ(SolveHybrid(fixture->problem, -1).status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      SolveWith(fixture->problem, OptimizerMethod::kHybrid, -1).status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(HybridOptimizerTest, ChoiceNamesAreStable) {
-  EXPECT_EQ(HybridChoiceToString(HybridChoice::kUnconstrainedSufficed),
-            "unconstrained");
-  EXPECT_EQ(HybridChoiceToString(HybridChoice::kKAwareGraph),
-            "k-aware-graph");
-  EXPECT_EQ(HybridChoiceToString(HybridChoice::kMerging), "merging");
+  // The unconstrained optimum's own change count, and one bound below
+  // it, where this fixture's work estimates pick merging.
+  // ChoiceFollowsWorkEstimates pins "hybrid chose k-aware-graph" to the
+  // estimates that select it.
+  auto fixture = MakeRandomProblem(113, 12, 10);
+  auto unconstrained =
+      SolveWith(fixture->problem, OptimizerMethod::kOptimal, std::nullopt);
+  ASSERT_TRUE(unconstrained.ok());
+  const int64_t l =
+      CountChanges(fixture->problem, unconstrained->schedule.configs);
+  ASSERT_GE(l, 2);
+  const auto detail = [&](int64_t k) {
+    return SolveWith(fixture->problem, OptimizerMethod::kHybrid, k)
+        .value()
+        .method_detail;
+  };
+  EXPECT_EQ(detail(l), "hybrid chose unconstrained");
+  EXPECT_EQ(detail(l - 1), "hybrid chose merging");
 }
 
 }  // namespace

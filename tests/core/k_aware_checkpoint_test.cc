@@ -178,17 +178,15 @@ TEST(SegmentSolverTest, MatchesMonolithicCostForAllChunkCounts) {
 TEST(SegmentSolverTest, ScheduleIdenticalForAnyThreadCount) {
   auto fixture = MakeRandomProblem(11, /*num_segments=*/20, /*block_size=*/8);
   SolveStats serial_stats;
-  auto serial = SolveKAware(fixture->problem, 3, &serial_stats, nullptr,
-                            nullptr, nullptr, nullptr, nullptr, nullptr,
-                            /*num_blocks=*/4);
+  auto serial =
+      SolveKAware(fixture->problem, 3, &serial_stats, {}, /*num_blocks=*/4);
   ASSERT_TRUE(serial.ok());
   EXPECT_EQ(serial_stats.segment_chunks, 4);
   ExpectValid(fixture->problem, *serial, 3, "serial");
   for (int threads : {2, 4}) {
     ThreadPool pool(threads);
     SolveStats stats;
-    auto parallel = SolveKAware(fixture->problem, 3, &stats, &pool, nullptr,
-                                nullptr, nullptr, nullptr, nullptr,
+    auto parallel = SolveKAware(fixture->problem, 3, &stats, {.pool = &pool},
                                 /*num_blocks=*/4);
     ASSERT_TRUE(parallel.ok());
     EXPECT_EQ(parallel->configs, serial->configs) << threads << " threads";
@@ -208,9 +206,8 @@ TEST(SegmentSolverTest, HonorsFinalConfigAndInitialChangePolicy) {
     ASSERT_TRUE(one.ok()) << one.status().ToString();
     ExpectValid(fixture->problem, *one, k, "k=" + std::to_string(k));
     SolveStats stats;
-    auto chunked = SolveKAware(fixture->problem, k, &stats, nullptr, nullptr,
-                               nullptr, nullptr, nullptr, nullptr,
-                               /*num_blocks=*/4);
+    auto chunked =
+        SolveKAware(fixture->problem, k, &stats, {}, /*num_blocks=*/4);
     ASSERT_TRUE(chunked.ok()) << chunked.status().ToString();
     ExpectSameSolve(*chunked, stats, *one, one_stats,
                     "k=" + std::to_string(k));
@@ -231,8 +228,7 @@ TEST(SegmentSolverTest, DegenerateChunkCountsDelegateToMonolithic) {
   for (const size_t blocks : {0u, 1u, 2u, 5u, 6u, 1000u}) {
     SolveStats stats;
     auto chunked =
-        SolveKAware(fixture->problem, 2, &stats, nullptr, nullptr, nullptr,
-                    nullptr, nullptr, nullptr, blocks);
+        SolveKAware(fixture->problem, 2, &stats, {}, blocks);
     ASSERT_TRUE(chunked.ok());
     ExpectSameSolve(*chunked, stats, *one, one_stats,
                     "blocks=" + std::to_string(blocks));
@@ -252,9 +248,8 @@ TEST(SegmentSolverTest, DegenerateChunkCountsDelegateToMonolithic) {
     ExpectValid(tiny->problem, *tiny_one, 2,
                 "stages=" + std::to_string(stages));
     SolveStats stats;
-    auto chunked = SolveKAware(tiny->problem, 2, &stats, nullptr, nullptr,
-                               nullptr, nullptr, nullptr, nullptr,
-                               /*num_blocks=*/4);
+    auto chunked =
+        SolveKAware(tiny->problem, 2, &stats, {}, /*num_blocks=*/4);
     ASSERT_TRUE(chunked.ok());
     ExpectSameSolve(*chunked, stats, *tiny_one, tiny_one_stats,
                     "stages=" + std::to_string(stages));
@@ -264,9 +259,8 @@ TEST(SegmentSolverTest, DegenerateChunkCountsDelegateToMonolithic) {
 
 TEST(SegmentSolverTest, RejectsNegativeK) {
   auto fixture = MakeRandomProblem(19, /*num_segments=*/6, /*block_size=*/10);
-  auto chunked = SolveKAware(fixture->problem, -1, nullptr, nullptr, nullptr,
-                             nullptr, nullptr, nullptr, nullptr,
-                             /*num_blocks=*/2);
+  auto chunked =
+      SolveKAware(fixture->problem, -1, nullptr, {}, /*num_blocks=*/2);
   EXPECT_FALSE(chunked.ok());
   EXPECT_EQ(chunked.status().code(), StatusCode::kInvalidArgument);
 }
@@ -378,9 +372,8 @@ TEST(SegmentSolverTest, RelaxationsAddExactlyTheReRelaxedStages) {
             " k=" + std::to_string(k.value_or(-1)) +
             " blocks=" + std::to_string(blocks);
         SolveStats stats;
-        auto chunked = SolveKAware(fixture->problem, k, &stats, nullptr,
-                                   nullptr, nullptr, nullptr, nullptr,
-                                   nullptr, static_cast<size_t>(blocks));
+        auto chunked = SolveKAware(fixture->problem, k, &stats, {},
+                                   static_cast<size_t>(blocks));
         ASSERT_TRUE(chunked.ok()) << where;
         ExpectSameSolve(*chunked, stats, *one, one_stats, where);
         const int64_t re_relaxed = kRelaxed - kRelaxed / blocks;
@@ -411,8 +404,8 @@ TEST(SegmentSolverTest, MultiBlockDeadlineFallsBackToBestStatic) {
         token.Cancel();
       }
     };
-    return SolveKAware(problem, 2, stats, nullptr, nullptr, &budget,
-                       &progress, nullptr, nullptr, blocks);
+    return SolveKAware(problem, 2, stats,
+                       {.budget = &budget, .progress = &progress}, blocks);
   };
   for (const double at : {0.5, 39.0 / 40.0}) {
     SolveStats stats;

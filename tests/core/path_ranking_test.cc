@@ -9,12 +9,24 @@
 #include "core/brute_force.h"
 #include "core/k_aware_graph.h"
 #include "core/relax_stage.h"
+#include "core/solver.h"
 #include "test_util.h"
 
 namespace cdpd {
 namespace {
 
 using testing_util::MakeRandomProblem;
+
+/// The ranking method through Solve(), serially.
+Result<SolveResult> Rank(const DesignProblem& problem, int64_t k,
+                         int64_t max_paths = 1'000'000) {
+  SolveOptions options;
+  options.method = OptimizerMethod::kRanking;
+  options.k = k;
+  options.num_threads = 1;
+  options.ranking_max_paths = max_paths;
+  return Solve(problem, options);
+}
 
 CostMatrix Precompute(const DesignProblem& problem) {
   return problem.what_if->PrecomputeCostMatrix(problem.candidates).value();
@@ -164,15 +176,16 @@ TEST(SolveByRankingTest, MatchesKAwareOptimum) {
   for (uint64_t seed = 93; seed < 97; ++seed) {
     auto fixture = MakeRandomProblem(seed, 4, 10);
     for (int64_t k = 0; k <= 3; ++k) {
-      auto ranked = SolveByRanking(fixture->problem, k);
+      auto ranked = Rank(fixture->problem, k);
       auto optimal = SolveKAware(fixture->problem, k);
       ASSERT_TRUE(ranked.ok()) << "seed " << seed << " k " << k;
       ASSERT_TRUE(optimal.ok());
-      EXPECT_EQ(ranked->total_cost, optimal->total_cost)
+      EXPECT_EQ(ranked->schedule.total_cost, optimal->total_cost)
           << "seed " << seed << " k " << k;
-      EXPECT_EQ(ranked->total_cost,
-                EvaluateScheduleCost(fixture->problem, ranked->configs));
-      EXPECT_LE(CountChanges(fixture->problem, ranked->configs), k);
+      EXPECT_EQ(ranked->schedule.total_cost,
+                EvaluateScheduleCost(fixture->problem,
+                                     ranked->schedule.configs));
+      EXPECT_LE(CountChanges(fixture->problem, ranked->schedule.configs), k);
     }
   }
 }
@@ -180,25 +193,25 @@ TEST(SolveByRankingTest, MatchesKAwareOptimum) {
 TEST(SolveByRankingTest, EmptyWorkloadGetsTheEmptySchedule) {
   auto empty = MakeRandomProblem(/*seed=*/5, /*num_segments=*/0,
                                  /*block_size=*/1);
-  SolveStats stats;
-  auto ranked = SolveByRanking(empty->problem, 0, 1'000'000, &stats);
+  auto ranked = Rank(empty->problem, 0);
   ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
-  EXPECT_TRUE(ranked->configs.empty());
-  EXPECT_EQ(ranked->total_cost, 0.0);
-  EXPECT_EQ(stats.paths_enumerated, 1);
-  EXPECT_FALSE(stats.best_effort);
+  EXPECT_TRUE(ranked->schedule.configs.empty());
+  EXPECT_EQ(ranked->schedule.total_cost, 0.0);
+  EXPECT_EQ(ranked->stats.paths_enumerated, 1);
+  EXPECT_FALSE(ranked->stats.best_effort);
 
   // A constrained destination is the one source-to-destination edge.
   empty->problem.final_config = empty->problem.candidates[1];
   ASSERT_FALSE(empty->problem.final_config->empty());
-  ranked = SolveByRanking(empty->problem, 0);
+  ranked = Rank(empty->problem, 0);
   ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
-  EXPECT_TRUE(ranked->configs.empty());
-  EXPECT_EQ(ranked->total_cost,
+  EXPECT_TRUE(ranked->schedule.configs.empty());
+  EXPECT_EQ(ranked->schedule.total_cost,
             empty->what_if->TransitionCost(empty->problem.initial,
                                            *empty->problem.final_config));
-  EXPECT_GT(ranked->total_cost, 0.0);
-  EXPECT_EQ(ranked->total_cost, EvaluateScheduleCost(empty->problem, {}));
+  EXPECT_GT(ranked->schedule.total_cost, 0.0);
+  EXPECT_EQ(ranked->schedule.total_cost,
+            EvaluateScheduleCost(empty->problem, {}));
 }
 
 TEST(SolveByRankingTest, FirstPathWinsWhenUnconstrainedFitsK) {
@@ -206,33 +219,33 @@ TEST(SolveByRankingTest, FirstPathWinsWhenUnconstrainedFitsK) {
   auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
   ASSERT_TRUE(unconstrained.ok());
   const int64_t l = CountChanges(fixture->problem, unconstrained->configs);
-  SolveStats stats;
-  auto ranked = SolveByRanking(fixture->problem, l, 1'000'000, &stats);
+  auto ranked = Rank(fixture->problem, l);
   ASSERT_TRUE(ranked.ok());
-  EXPECT_EQ(stats.paths_enumerated, 1);
+  EXPECT_EQ(ranked->stats.paths_enumerated, 1);
 }
 
 TEST(SolveByRankingTest, SmallKRanksMorePaths) {
   auto fixture = MakeRandomProblem(99, 5, 12);
-  SolveStats loose;
-  SolveStats tight;
-  ASSERT_TRUE(SolveByRanking(fixture->problem, 4, 1'000'000, &loose).ok());
-  ASSERT_TRUE(SolveByRanking(fixture->problem, 0, 1'000'000, &tight).ok());
-  EXPECT_GE(tight.paths_enumerated, loose.paths_enumerated);
+  auto loose = Rank(fixture->problem, 4);
+  auto tight = Rank(fixture->problem, 0);
+  ASSERT_TRUE(loose.ok());
+  ASSERT_TRUE(tight.ok());
+  EXPECT_GE(tight->stats.paths_enumerated, loose->stats.paths_enumerated);
 }
 
 TEST(SolveByRankingTest, MaxPathsGuardDegradesToStaticBestEffort) {
   auto fixture = MakeRandomProblem(100, 5, 12);
-  SolveStats stats;
-  auto ranked =
-      SolveByRanking(fixture->problem, 0, /*max_paths=*/1, &stats);
+  auto ranked = Rank(fixture->problem, 0, /*max_paths=*/1);
   // k=0 is always satisfiable here (count_initial_change is off), so
   // even when the one ranked path misses the bound, the static
   // fallback must answer — never ResourceExhausted.
   ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
-  EXPECT_LE(CountChanges(fixture->problem, ranked->configs), 0);
-  EXPECT_NEAR(ranked->total_cost,
-              EvaluateScheduleCost(fixture->problem, ranked->configs), 1e-9);
+  const SolveStats& stats = ranked->stats;
+  EXPECT_LE(CountChanges(fixture->problem, ranked->schedule.configs), 0);
+  EXPECT_NEAR(ranked->schedule.total_cost,
+              EvaluateScheduleCost(fixture->problem, ranked->schedule.configs),
+              1e-9);
+  EXPECT_EQ(ranked->method_detail, "ranked paths: 1");
   if (stats.best_effort) {
     // The guard fired: the answer is the static fallback, flagged as
     // best-effort but NOT as a deadline hit (no budget was given).
@@ -246,7 +259,7 @@ TEST(SolveByRankingTest, MaxPathsGuardDegradesToStaticBestEffort) {
 
 TEST(SolveByRankingTest, RejectsNegativeK) {
   auto fixture = MakeRandomProblem(101, 3, 10);
-  EXPECT_EQ(SolveByRanking(fixture->problem, -1).status().code(),
+  EXPECT_EQ(Rank(fixture->problem, -1).status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -116,6 +116,13 @@ TEST(SolverTest, ValidateRejectsBadOptions) {
     EXPECT_FALSE(result.ok());
   }
   {
+    // Past the thread cap: rejected before any pool is built.
+    SolveOptions options;
+    options.num_threads = ThreadPool::kMaxThreads + 1;
+    auto result = Solve(fixture->problem, options);
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  {
     SolveOptions options;
     options.ranking_max_paths = 0;
     auto result = Solve(fixture->problem, options);

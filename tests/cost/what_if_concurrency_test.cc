@@ -103,7 +103,7 @@ TEST_F(WhatIfConcurrencyTest, PrecomputeCostMatrixMatchesSerialProbes) {
   ThreadPool pool(4);
   std::unique_ptr<WhatIfEngine> parallel_engine = FreshEngine();
   Result<CostMatrix> matrix_result =
-      parallel_engine->PrecomputeCostMatrix(configs_, &pool);
+      parallel_engine->PrecomputeCostMatrix(configs_, {.pool = &pool});
   ASSERT_TRUE(matrix_result.ok()) << matrix_result.status().ToString();
   const CostMatrix& matrix = *matrix_result;
 
@@ -142,8 +142,9 @@ TEST_F(WhatIfConcurrencyTest, PrecomputeCostingsAreShapesTimesConfigs) {
       Tracer tracer;
       std::unique_ptr<WhatIfEngine> engine = FreshEngine();
       ASSERT_TRUE(engine
-                      ->PrecomputeCostMatrix(configs_, &pool,
-                                             traced ? &tracer : nullptr)
+                      ->PrecomputeCostMatrix(
+                          configs_, {.pool = &pool,
+                                     .tracer = traced ? &tracer : nullptr})
                       .ok());
       EXPECT_EQ(engine->costings(), expected)
           << threads << " threads, traced = " << traced;
@@ -207,7 +208,7 @@ TEST_F(WhatIfConcurrencyTest, PrecomputeMatchesStatementCostReference) {
   WhatIfEngine engine(&model_, statements, segments);
   ASSERT_GT(engine.workload_profile().size(), 200u);
   const CostMatrix matrix =
-      engine.PrecomputeCostMatrix(configs, &pool).value();
+      engine.PrecomputeCostMatrix(configs, {.pool = &pool}).value();
   for (size_t s = 0; s < segments.size(); ++s) {
     for (size_t c = 0; c < configs.size(); ++c) {
       EXPECT_EQ(matrix.Exec(s, c),
@@ -228,7 +229,7 @@ TEST_F(WhatIfConcurrencyTest, PrecomputeWithNullPoolIsIdentical) {
   const CostMatrix serial_matrix =
       a->PrecomputeCostMatrix(configs_).value();
   const CostMatrix parallel_matrix =
-      b->PrecomputeCostMatrix(configs_, &pool).value();
+      b->PrecomputeCostMatrix(configs_, {.pool = &pool}).value();
   for (size_t s = 0; s < segments_.size(); ++s) {
     for (size_t c = 0; c < configs_.size(); ++c) {
       ASSERT_EQ(serial_matrix.Exec(s, c), parallel_matrix.Exec(s, c));
@@ -260,13 +261,14 @@ TEST_F(WhatIfConcurrencyTest, PrecomputeWithProgressAndLoggerOnlyObserves) {
   };
   const CostMatrix instrumented_matrix =
       instrumented
-          ->PrecomputeCostMatrix(configs_, &pool, /*tracer=*/nullptr,
-                                 /*budget=*/nullptr, &progress, &logger)
+          ->PrecomputeCostMatrix(configs_, {.pool = &pool,
+                                            .progress = &progress,
+                                            .logger = &logger})
           .value();
 
   std::unique_ptr<WhatIfEngine> plain = FreshEngine();
   const CostMatrix plain_matrix =
-      plain->PrecomputeCostMatrix(configs_, &pool).value();
+      plain->PrecomputeCostMatrix(configs_, {.pool = &pool}).value();
   for (size_t s = 0; s < segments_.size(); ++s) {
     for (size_t c = 0; c < configs_.size(); ++c) {
       ASSERT_EQ(instrumented_matrix.Exec(s, c), plain_matrix.Exec(s, c));

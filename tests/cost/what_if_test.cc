@@ -125,7 +125,8 @@ TEST_F(WhatIfTest, PrecomputedExecCellsAreSegmentCostsOfShapeColumns) {
   for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
     SCOPED_TRACE(pool == nullptr ? 0 : pool->num_threads());
     const int64_t before = engine.costings();
-    const CostMatrix matrix = engine.PrecomputeCostMatrix(space, pool).value();
+    const CostMatrix matrix =
+        engine.PrecomputeCostMatrix(space, {.pool = pool}).value();
     EXPECT_EQ(engine.costings() - before, costings_per_fill);
     for (size_t s = 0; s < n; ++s) {
       for (size_t c = 0; c < m; ++c) {
@@ -191,7 +192,8 @@ TEST_F(WhatIfTest, PrecomputeValidatesCellsAreFinite) {
   // error message is thread-count invariant.
   WhatIfEngine fresh(&poisoned, statements_, segments_);
   ThreadPool pool(4);
-  Result<CostMatrix> parallel = fresh.PrecomputeCostMatrix(configs, &pool);
+  Result<CostMatrix> parallel =
+      fresh.PrecomputeCostMatrix(configs, {.pool = &pool});
   ASSERT_FALSE(parallel.ok());
   EXPECT_EQ(parallel.status().ToString(), serial.status().ToString());
 }

@@ -89,6 +89,11 @@ class AdvisorCliSmokeTest(unittest.TestCase):
         for flag in ("--threads", "--segments"):
             with self.subTest(flag=flag):
                 self.assert_usage_error(self.run_cli(flag, "4294967297"))
+        # A thread count past ThreadPool::kMaxThreads (1024) is
+        # malformed too, so no pool of that size is ever built.
+        for count in ("1025", "2147483647"):
+            with self.subTest(threads=count):
+                self.assert_usage_error(self.run_cli("--threads", count))
 
 
 if __name__ == "__main__":

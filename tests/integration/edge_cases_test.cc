@@ -110,12 +110,13 @@ TEST(OptimizerEdgeCases, SingleSegmentProblemAllSolversAgree) {
   auto fixture = MakeRandomProblem(140, 1, 25);
   auto unconstrained = SolveKAware(fixture->problem, std::nullopt);
   auto k0 = SolveKAware(fixture->problem, 0);
-  auto ranked = SolveByRanking(fixture->problem, 0);
+  auto ranked = testing_util::SolveWith(fixture->problem,
+                                       OptimizerMethod::kRanking, 0);
   ASSERT_TRUE(unconstrained.ok());
   ASSERT_TRUE(k0.ok());
   ASSERT_TRUE(ranked.ok());
   EXPECT_EQ(unconstrained->total_cost, k0->total_cost);
-  EXPECT_EQ(unconstrained->total_cost, ranked->total_cost);
+  EXPECT_EQ(unconstrained->total_cost, ranked->schedule.total_cost);
 }
 
 TEST(OptimizerEdgeCases, KFarLargerThanSegments) {
@@ -181,7 +182,7 @@ TEST(AdvisorEdgeCases, AdaptiveSegmentationWithHeuristicMethods) {
         OptimizerMethod::kHybrid}) {
     AdvisorOptions options;
     options.block_size = 200;
-    options.k = 2;
+    options.solve.k = 2;
     options.segmentation = SegmentationMode::kAdaptive;
     auto rec = advisor.Recommend(w1, options);
     ASSERT_TRUE(rec.ok()) << OptimizerMethodToString(method);
@@ -207,7 +208,7 @@ TEST(WorkloadEdgeCases, EmptyWorkloadThroughAdvisorIsClean) {
   CostModel model(MakePaperSchema(), 10'000, 500'000);
   Advisor advisor(&model);
   AdvisorOptions options;
-  options.k = 2;
+  options.solve.k = 2;
   options.candidate_indexes = {IndexDef({0})};
   auto rec = advisor.Recommend(Workload{}, options);
   ASSERT_TRUE(rec.ok()) << rec.status();

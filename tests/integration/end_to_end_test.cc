@@ -43,7 +43,7 @@ TEST(EndToEndTest, RecommendationAppliedToEngineBeatsStaticEmptyDesign) {
   Advisor advisor(&db->cost_model());
   AdvisorOptions options;
   options.block_size = 50;
-  options.k = 2;
+  options.solve.k = 2;
   options.candidate_indexes = MakePaperCandidateIndexes(db->schema());
   auto rec = advisor.Recommend(w1, options);
   ASSERT_TRUE(rec.ok()) << rec.status();
@@ -80,7 +80,7 @@ TEST(EndToEndTest, MeasuredCostTracksWhatIfEstimate) {
   Advisor advisor(&db->cost_model());
   AdvisorOptions options;
   options.block_size = 50;
-  options.k = 2;
+  options.solve.k = 2;
   options.candidate_indexes = MakePaperCandidateIndexes(db->schema());
   auto rec = advisor.Recommend(w1, options);
   ASSERT_TRUE(rec.ok());
@@ -110,7 +110,7 @@ TEST(EndToEndTest, DeterministicRecommendationAcrossRuns) {
     Advisor advisor(&model);
     AdvisorOptions options;
     options.block_size = 50;
-    options.k = 2;
+    options.solve.k = 2;
     auto rec = advisor.Recommend(w1, options);
     EXPECT_TRUE(rec.ok());
     return rec->schedule;

@@ -32,7 +32,7 @@ class PaperExperimentsTest : public ::testing::Test {
     Advisor advisor(model_.get());
     AdvisorOptions options;
     options.block_size = kBlock;
-    options.k = k;
+    options.solve.k = k;
     options.candidate_indexes = MakePaperCandidateIndexes(schema_);
     options.final_config = Configuration::Empty();  // As in §6.1.
     auto rec = advisor.Recommend(w1_, options);
@@ -142,10 +142,10 @@ TEST_F(PaperExperimentsTest, KAwareSpaceStaysWithinTwiceThePrediction) {
   for (int64_t k : {1, 2, 4, 8}) {
     AdvisorOptions options;
     options.block_size = kBlock;
-    options.k = k;
+    options.solve.k = k;
     options.candidate_indexes = MakePaperCandidateIndexes(schema_);
     options.final_config = Configuration::Empty();
-    options.explain = true;
+    options.solve.explain = true;
     const Recommendation rec = advisor.Recommend(w1_, options).value();
     ASSERT_TRUE(rec.explain.has_value()) << "k=" << k;
     const ExplainReport& report = *rec.explain;

@@ -12,9 +12,8 @@
 #include "core/brute_force.h"
 #include "core/design_merging.h"
 #include "core/greedy_seq.h"
-#include "core/hybrid_optimizer.h"
 #include "core/k_aware_graph.h"
-#include "core/path_ranking.h"
+#include "core/solver.h"
 #include "core/validator.h"
 #include "test_util.h"
 
@@ -22,6 +21,7 @@ namespace cdpd {
 namespace {
 
 using testing_util::MakeRandomProblem;
+using testing_util::SolveWith;
 
 // (seed, num_segments, max_indexes_per_config)
 using ParamType = std::tuple<uint64_t, size_t, int32_t>;
@@ -42,16 +42,16 @@ TEST_P(OptimizerAgreementTest, OptimalSolversAgreeForEveryK) {
   for (int64_t k = 0; k <= static_cast<int64_t>(segments); ++k) {
     auto brute = SolveBruteForce(fixture->problem, k);
     auto graph = SolveKAware(fixture->problem, k);
-    auto ranked = SolveByRanking(fixture->problem, k);
+    auto ranked = SolveWith(fixture->problem, OptimizerMethod::kRanking, k);
     ASSERT_TRUE(brute.ok()) << "k=" << k;
     ASSERT_TRUE(graph.ok()) << "k=" << k;
     ASSERT_TRUE(ranked.ok()) << "k=" << k;
 
     EXPECT_EQ(brute->total_cost, graph->total_cost) << "k=" << k;
-    EXPECT_EQ(brute->total_cost, ranked->total_cost) << "k=" << k;
+    EXPECT_EQ(brute->total_cost, ranked->schedule.total_cost) << "k=" << k;
 
     EXPECT_TRUE(ValidateSchedule(fixture->problem, *graph, k).ok());
-    EXPECT_TRUE(ValidateSchedule(fixture->problem, *ranked, k).ok());
+    EXPECT_TRUE(ValidateSchedule(fixture->problem, ranked->schedule, k).ok());
   }
 }
 
@@ -78,12 +78,13 @@ TEST_P(OptimizerAgreementTest, HeuristicsAreFeasibleAndDominated) {
     EXPECT_GE(merged->total_cost, optimal->total_cost - 1e-9);
     EXPECT_TRUE(ValidateSchedule(fixture->problem, *merged, k).ok());
 
-    auto greedy = SolveGreedySeq(fixture->problem, k, greedy_options);
+    auto greedy = SolveWith(fixture->problem, OptimizerMethod::kGreedySeq, k,
+                            greedy_options);
     ASSERT_TRUE(greedy.ok());
     EXPECT_LE(CountChanges(fixture->problem, greedy->schedule.configs), k);
     EXPECT_GE(greedy->schedule.total_cost, optimal->total_cost - 1e-9);
 
-    auto hybrid = SolveHybrid(fixture->problem, k);
+    auto hybrid = SolveWith(fixture->problem, OptimizerMethod::kHybrid, k);
     ASSERT_TRUE(hybrid.ok());
     EXPECT_LE(CountChanges(fixture->problem, hybrid->schedule.configs), k);
     EXPECT_GE(hybrid->schedule.total_cost, optimal->total_cost - 1e-9);
@@ -122,12 +123,12 @@ TEST_P(OptimizerAgreementTest, InitialChangePolicyAgreesAcrossSolvers) {
   for (int64_t k = 0; k <= 2; ++k) {
     auto brute = SolveBruteForce(fixture->problem, k);
     auto graph = SolveKAware(fixture->problem, k);
-    auto ranked = SolveByRanking(fixture->problem, k);
+    auto ranked = SolveWith(fixture->problem, OptimizerMethod::kRanking, k);
     ASSERT_TRUE(brute.ok());
     ASSERT_TRUE(graph.ok());
     ASSERT_TRUE(ranked.ok());
     EXPECT_EQ(brute->total_cost, graph->total_cost) << "k=" << k;
-    EXPECT_EQ(brute->total_cost, ranked->total_cost) << "k=" << k;
+    EXPECT_EQ(brute->total_cost, ranked->schedule.total_cost) << "k=" << k;
   }
 }
 
@@ -144,12 +145,12 @@ TEST_P(OptimizerAgreementTest, ForcedFinalConfigAgreesAcrossSolvers) {
   for (int64_t k = 0; k <= 2; ++k) {
     auto brute = SolveBruteForce(fixture->problem, k);
     auto graph = SolveKAware(fixture->problem, k);
-    auto ranked = SolveByRanking(fixture->problem, k);
+    auto ranked = SolveWith(fixture->problem, OptimizerMethod::kRanking, k);
     ASSERT_TRUE(brute.ok());
     ASSERT_TRUE(graph.ok());
     ASSERT_TRUE(ranked.ok());
     EXPECT_EQ(brute->total_cost, graph->total_cost) << "k=" << k;
-    EXPECT_EQ(brute->total_cost, ranked->total_cost) << "k=" << k;
+    EXPECT_EQ(brute->total_cost, ranked->schedule.total_cost) << "k=" << k;
   }
 }
 

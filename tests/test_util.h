@@ -2,11 +2,14 @@
 #define CDPD_TESTS_TEST_UTIL_H_
 
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "advisor/config_enumeration.h"
 #include "common/rng.h"
 #include "core/design_problem.h"
+#include "core/solver.h"
 #include "cost/cost_model.h"
 #include "cost/what_if.h"
 #include "index/index_def.h"
@@ -74,6 +77,21 @@ inline std::unique_ptr<ProblemFixture> MakeRandomProblem(
           .value();
   fixture->problem.initial = Configuration::Empty();
   return fixture;
+}
+
+/// Solve() with one method and change bound, serially, plus the
+/// GREEDY-SEQ candidate indexes: how the method tests reach each
+/// technique.
+inline Result<SolveResult> SolveWith(const DesignProblem& problem,
+                                     OptimizerMethod method,
+                                     std::optional<int64_t> k,
+                                     GreedySeqOptions greedy = {}) {
+  SolveOptions options;
+  options.method = method;
+  options.k = k;
+  options.num_threads = 1;
+  options.greedy = std::move(greedy);
+  return Solve(problem, options);
 }
 
 /// Shorthand for an index over named columns of `schema`.

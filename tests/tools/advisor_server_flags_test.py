@@ -79,8 +79,12 @@ class AdvisorServerFlagsTest(unittest.TestCase):
         self.assert_usage_error(self.run_server("--port", "70000"))
 
     def test_threads_rejects_counts_past_int(self):
-        # 2^32 + 1 used to wrap to a one-thread pool.
-        self.assert_usage_error(self.run_server("--threads", "4294967297"))
+        # 2^32 + 1 used to wrap to a one-thread pool; any count past
+        # ThreadPool::kMaxThreads (1024) is malformed, so no pool of
+        # that size is ever built.
+        for count in ("4294967297", "2147483647", "1025"):
+            with self.subTest(count=count):
+                self.assert_usage_error(self.run_server("--threads", count))
 
 
 if __name__ == "__main__":

@@ -96,7 +96,7 @@ TEST_F(AdaptiveSegmenterTest, AdvisorWithAdaptiveStagesMatchesFixedQuality) {
 
   AdvisorOptions fixed;
   fixed.block_size = 200;
-  fixed.k = 2;
+  fixed.solve.k = 2;
   fixed.candidate_indexes = MakePaperCandidateIndexes(schema_);
   auto fixed_rec = advisor.Recommend(w1, fixed);
   ASSERT_TRUE(fixed_rec.ok());

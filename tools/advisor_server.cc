@@ -27,7 +27,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -36,6 +35,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/thread_pool.h"
 #include "server/advisor_server.h"
 #include "server/http_endpoint.h"
 #include "server/recorder.h"
@@ -85,7 +85,7 @@ void PrintHelp(std::FILE* out) {
       "  --window N        sliding-window cap in statements (0 = keep\n"
       "                    everything; default 10000)\n"
       "  --threads N       solver pool workers (0 = hardware default,\n"
-      "                    1 = serial)\n"
+      "                    1 = serial; at most 1024)\n"
       "  --deadline-ms N   default per-request solve deadline\n"
       "  --memory-limit-bytes N\n"
       "                    default per-request solver memory budget\n"
@@ -144,7 +144,7 @@ bool ParseArgs(int argc, char** argv, ServerCliArgs* args) {
       if (!next(&args->window) || args->window < 0) return false;
     } else if (arg == "--threads") {
       if (!next(&args->threads) || args->threads < 0 ||
-          args->threads > std::numeric_limits<int>::max()) {
+          args->threads > cdpd::ThreadPool::kMaxThreads) {
         return false;
       }
     } else if (arg == "--deadline-ms") {
