@@ -14,6 +14,7 @@ namespace cdpd {
 namespace {
 
 using testing_util::MakeRandomProblem;
+using testing_util::ProblemFixture;
 
 SolveOptions BaseOptions(OptimizerMethod method, int64_t k) {
   SolveOptions options;
@@ -133,6 +134,76 @@ TEST(SolverTest, ValidateRejectsBadOptions) {
     options.method = OptimizerMethod::kGreedySeq;  // No indexes given.
     auto result = Solve(fixture->problem, options);
     EXPECT_FALSE(result.ok());
+  }
+}
+
+SolveOptions MethodOptions(const ProblemFixture& fixture,
+                           OptimizerMethod method, std::optional<int64_t> k) {
+  SolveOptions options;
+  options.method = method;
+  options.k = k;
+  options.num_threads = 1;
+  if (method == OptimizerMethod::kGreedySeq) {
+    options.greedy.candidate_indexes =
+        MakePaperCandidateIndexes(fixture.schema);
+    options.greedy.max_indexes_per_config = 1;
+  }
+  return options;
+}
+
+TEST(SolverTest, MethodDetailIsPinnedForEveryMethod) {
+  // method_detail is wire bytes (RECOMMEND answers, journal replay).
+  auto fixture = MakeRandomProblem(201, 8, 12);
+  const std::vector<std::pair<OptimizerMethod, std::vector<std::string>>>
+      expected = {
+          {OptimizerMethod::kOptimal,
+           {"k-aware sequence graph", "sequence-graph shortest path"}},
+          {OptimizerMethod::kGreedySeq,
+           {"greedy-seq reduced candidates: 5",
+            "greedy-seq reduced candidates: 5"}},
+          {OptimizerMethod::kMerging,
+           {"merging steps: 1",
+            "merging (no constraint; unconstrained optimum)"}},
+          {OptimizerMethod::kRanking,
+           {"ranked paths: 7", "ranking (no constraint; shortest path)"}},
+          {OptimizerMethod::kHybrid,
+           {"hybrid chose merging", "hybrid (no constraint; shortest path)"}},
+      };
+  for (const auto& [method, details] : expected) {
+    auto bounded = Solve(fixture->problem, MethodOptions(*fixture, method, 2));
+    auto unset =
+        Solve(fixture->problem, MethodOptions(*fixture, method, std::nullopt));
+    ASSERT_TRUE(bounded.ok()) << OptimizerMethodToString(method);
+    ASSERT_TRUE(unset.ok()) << OptimizerMethodToString(method);
+    EXPECT_EQ(bounded->method_detail, details[0]);
+    EXPECT_EQ(unset->method_detail, details[1]);
+  }
+}
+
+TEST(SolverTest, CostingsAreTheEngineCounterDifference) {
+  // One engine per solve, so the difference holds only this solve's
+  // probes.
+  for (OptimizerMethod method :
+       {OptimizerMethod::kOptimal, OptimizerMethod::kGreedySeq,
+        OptimizerMethod::kMerging, OptimizerMethod::kRanking,
+        OptimizerMethod::kHybrid}) {
+    for (bool prune : {false, true}) {
+      for (std::optional<int64_t> k :
+           {std::optional<int64_t>(), std::optional<int64_t>(0),
+            std::optional<int64_t>(2)}) {
+        auto fixture = MakeRandomProblem(208, 8, 12);
+        SolveOptions options = MethodOptions(*fixture, method, k);
+        options.prune_dominated = prune;
+        const int64_t before = fixture->what_if->costings();
+        auto result = Solve(fixture->problem, options);
+        ASSERT_TRUE(result.ok()) << OptimizerMethodToString(method);
+        EXPECT_EQ(result->stats.costings,
+                  fixture->what_if->costings() - before)
+            << OptimizerMethodToString(method) << " prune=" << prune
+            << " k=" << k.value_or(-1);
+        EXPECT_GT(result->stats.costings, 0);
+      }
+    }
   }
 }
 
