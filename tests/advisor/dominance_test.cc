@@ -98,7 +98,8 @@ TEST(DominanceTest, DeterministicForAnyThreadCount) {
   const DominanceResult serial = PruneDominatedConfigs(problem);
   for (int threads : {2, 4}) {
     ThreadPool pool(threads);
-    const DominanceResult parallel = PruneDominatedConfigs(problem, {.pool = &pool});
+    const DominanceResult parallel =
+        PruneDominatedConfigs(problem, {.pool = &pool});
     EXPECT_EQ(parallel.survivors, serial.survivors) << threads << " threads";
     EXPECT_EQ(parallel.pruned, serial.pruned);
   }
