@@ -235,10 +235,10 @@ class TrackingAllocator {
     return p;
   }
   void deallocate(T* p, size_t n) {
-    std::allocator<T>().deallocate(p, n);
     if (tracker_ != nullptr) {
       tracker_->Release(Component, static_cast<int64_t>(n * sizeof(T)));
     }
+    std::allocator<T>().deallocate(p, n);
   }
 
   ResourceTracker* tracker() const { return tracker_; }

@@ -114,8 +114,11 @@ TEST(SlowLogTest, ManyThreadsRecordingKeepInvariantsUnderContention) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&log, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        log.Record(Entry("c" + std::to_string(t) + "-" + std::to_string(i),
-                         (i * 7919 + t) % 10'000));
+        std::string id = "c";
+        id += std::to_string(t);
+        id += "-";
+        id += std::to_string(i);
+        log.Record(Entry(id, (i * 7919 + t) % 10'000));
         if (i % 64 == 0) {
           // Concurrent readers race the writers on purpose.
           (void)log.Slowest();
@@ -143,8 +146,11 @@ TEST(SlowLogTest, ConcurrentRecordsStayBounded) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&log, t] {
       for (int i = 0; i < 500; ++i) {
-        log.Record(Entry("t" + std::to_string(t) + "-" + std::to_string(i),
-                         (t * 500 + i) % 97));
+        std::string id = "t";
+        id += std::to_string(t);
+        id += "-";
+        id += std::to_string(i);
+        log.Record(Entry(id, (t * 500 + i) % 97));
       }
     });
   }
