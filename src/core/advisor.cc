@@ -71,11 +71,8 @@ Result<Recommendation> Advisor::Recommend(const Workload& workload,
   problem.count_initial_change = options.count_initial_change;
 
   SolveOptions solve_options = options.solve;
-  if (solve_options.method == OptimizerMethod::kGreedySeq) {
-    solve_options.greedy.candidate_indexes = rec.candidate_indexes;
-    solve_options.greedy.max_indexes_per_config =
-        options.max_indexes_per_config;
-  }
+  solve_options.greedy.candidate_indexes = rec.candidate_indexes;
+  solve_options.greedy.max_indexes_per_config = options.max_indexes_per_config;
 
   CDPD_ASSIGN_OR_RETURN(SolveResult solved, Solve(problem, solve_options));
   rec.schedule = std::move(solved.schedule);

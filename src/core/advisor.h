@@ -46,14 +46,17 @@ struct AdvisorOptions {
   /// workload (advisor/candidate_generation.h).
   std::vector<IndexDef> candidate_indexes;
   CandidateGenOptions candidate_gen;
-  /// The solve itself: method, change bound k, threads, sinks,
-  /// pruning, checkpoint blocks, explain, deadline, cancellation and
-  /// memory limit (see SolveOptions). Recommend passes it to Solve(),
-  /// which validates it, after filling `greedy` from the candidate
-  /// indexes for GREEDY-SEQ. The deadline does not cover segmentation
-  /// and candidate generation, which are cheap next to the solve. The
-  /// advisor adds its own "advisor.*" log events (segmentation and
-  /// candidate-space sizes) to `solve.observability.logger`.
+  /// The solve itself: method, change bound k, threads or a borrowed
+  /// `pool` (which must outlive Recommend), sinks, pruning, checkpoint
+  /// blocks, explain, deadline, cancellation and memory limit (see
+  /// SolveOptions). Recommend passes it to Solve(), which validates it,
+  /// after overwriting `solve.greedy` with `candidate_indexes` (as
+  /// generated) and `max_indexes_per_config`: anything set in
+  /// `solve.greedy` is ignored. The deadline does not cover
+  /// segmentation and candidate generation, which are cheap next to the
+  /// solve. The advisor adds its own "advisor.*" log events
+  /// (segmentation and candidate-space sizes) to
+  /// `solve.observability.logger`.
   SolveOptions solve;
 
   /// Validates the advisor's own fields (block size, space bound,
@@ -76,8 +79,8 @@ struct Recommendation {
   /// Technique detail (e.g. which branch the hybrid picked).
   std::string method_detail;
   /// Per-transition attribution of the schedule (set iff
-  /// AdvisorOptions::explain). Render with ExplainReport::ToText /
-  /// ToJson against the model's schema.
+  /// AdvisorOptions::solve.explain). Render with ExplainReport::ToText
+  /// / ToJson against the model's schema.
   std::optional<ExplainReport> explain;
 };
 

@@ -10,8 +10,50 @@
 namespace cdpd {
 namespace {
 
+using testing_util::MakeIndex;
 using testing_util::MakeRandomProblem;
+using testing_util::ProblemFixture;
 using testing_util::SolveWith;
+
+// `num_segments` segments alternating between mixes A (mostly column
+// a) and C (mostly c), over the two configurations {I(a)} and {I(c)}:
+// consecutive segments want different indexes, so the unconstrained
+// optimum changes design at nearly every segment and l approaches n.
+// At small k merging's work estimate |C|(l^2 - k^2)/2 then exceeds the
+// graph's (k+1) n |C|^2, and the hybrid takes the k-aware branch.
+std::unique_ptr<ProblemFixture> MakeAlternatingProblem(size_t num_segments,
+                                                       size_t block_size) {
+  auto fixture = std::make_unique<ProblemFixture>();
+  fixture->schema = MakePaperSchema();
+  fixture->model = std::make_unique<CostModel>(fixture->schema, 100'000,
+                                               testing_util::kTestDomain);
+  WorkloadGenerator generator(fixture->schema, testing_util::kTestDomain,
+                              /*seed=*/115);
+  std::vector<int> blocks;
+  for (size_t i = 0; i < num_segments; ++i) blocks.push_back(i % 2 ? 2 : 0);
+  fixture->statements =
+      generator.GenerateBlocked(MakePaperQueryMixes(), blocks, block_size)
+          .value()
+          .statements;
+  fixture->segments = SegmentFixed(fixture->statements.size(), block_size);
+  fixture->what_if = std::make_unique<WhatIfEngine>(
+      fixture->model.get(), fixture->statements, fixture->segments);
+  fixture->problem.what_if = fixture->what_if.get();
+  fixture->problem.candidates = {
+      Configuration({MakeIndex(fixture->schema, {"a"})}),
+      Configuration({MakeIndex(fixture->schema, {"c"})})};
+  fixture->problem.initial = Configuration::Empty();
+  return fixture;
+}
+
+// The hybrid's own test of its estimates: true when the k-aware graph's
+// (k+1) n |C|^2 is at most merging's |C|(l^2 - k^2)/2.
+bool GraphIsCheaper(const DesignProblem& problem, int64_t l, int64_t k) {
+  const auto n = static_cast<double>(problem.num_segments());
+  const auto c = static_cast<double>(problem.candidates.size());
+  return static_cast<double>(k + 1) * n * c * c <=
+         c * static_cast<double>(l * l - k * k) / 2.0;
+}
 
 TEST(HybridOptimizerTest, ReturnsUnconstrainedWhenItFits) {
   auto fixture = MakeRandomProblem(110, 6, 15);
@@ -39,16 +81,27 @@ TEST(HybridOptimizerTest, AlwaysSatisfiesConstraint) {
 }
 
 TEST(HybridOptimizerTest, SmallKUsesGraphAndIsOptimal) {
-  // Force a large l by making every segment prefer a different config,
-  // then ask for k = 0: graph work (1*n*|C|^2) ~ merging work only if
-  // l is large; with n small the graph side wins.
-  auto fixture = MakeRandomProblem(112, 12, 10);
-  auto hybrid = SolveWith(fixture->problem, OptimizerMethod::kHybrid, 0);
-  ASSERT_TRUE(hybrid.ok());
-  if (hybrid->method_detail == "hybrid chose k-aware-graph") {
-    auto optimal = SolveKAware(fixture->problem, 0);
-    ASSERT_TRUE(optimal.ok());
-    EXPECT_NEAR(hybrid->schedule.total_cost, optimal->total_cost, 1e-9);
+  // Every segment prefers the other configuration, so l is large and,
+  // for each small k below, the graph side's estimate wins: the hybrid
+  // must then return SolveKAware(k)'s optimum.
+  auto fixture = MakeAlternatingProblem(40, 200);
+  auto unconstrained =
+      SolveWith(fixture->problem, OptimizerMethod::kOptimal, std::nullopt);
+  ASSERT_TRUE(unconstrained.ok());
+  const int64_t l =
+      CountChanges(fixture->problem, unconstrained->schedule.configs);
+  for (int64_t k = 0; k <= 2; ++k) {
+    ASSERT_TRUE(GraphIsCheaper(fixture->problem, l, k))
+        << "l=" << l << " k=" << k;
+    auto hybrid = SolveWith(fixture->problem, OptimizerMethod::kHybrid, k);
+    auto optimal = SolveKAware(fixture->problem, k);
+    ASSERT_TRUE(hybrid.ok()) << "k=" << k;
+    ASSERT_TRUE(optimal.ok()) << "k=" << k;
+    EXPECT_EQ(hybrid->method_detail, "hybrid chose k-aware-graph")
+        << "k=" << k;
+    EXPECT_EQ(hybrid->schedule.configs, optimal->configs) << "k=" << k;
+    EXPECT_EQ(hybrid->schedule.total_cost, optimal->total_cost) << "k=" << k;
+    EXPECT_EQ(hybrid->unconstrained_cost, unconstrained->schedule.total_cost);
   }
 }
 
@@ -60,15 +113,10 @@ TEST(HybridOptimizerTest, ChoiceFollowsWorkEstimates) {
   const int64_t l =
       CountChanges(fixture->problem, unconstrained->schedule.configs);
   if (l < 2) GTEST_SKIP() << "fixture produced a trivial schedule";
-  const auto n = static_cast<double>(fixture->problem.num_segments());
-  const auto c = static_cast<double>(fixture->problem.candidates.size());
   for (int64_t k = 0; k < l; ++k) {
     auto hybrid = SolveWith(fixture->problem, OptimizerMethod::kHybrid, k);
     ASSERT_TRUE(hybrid.ok());
-    const double graph_work = static_cast<double>(k + 1) * n * c * c;
-    const double merging_work =
-        c * static_cast<double>(l * l - k * k) / 2.0;
-    EXPECT_EQ(hybrid->method_detail, graph_work <= merging_work
+    EXPECT_EQ(hybrid->method_detail, GraphIsCheaper(fixture->problem, l, k)
                                          ? "hybrid chose k-aware-graph"
                                          : "hybrid chose merging")
         << "k=" << k;
@@ -83,24 +131,32 @@ TEST(HybridOptimizerTest, RejectsNegativeK) {
 }
 
 TEST(HybridOptimizerTest, ChoiceNamesAreStable) {
-  // The unconstrained optimum's own change count, and one bound below
-  // it, where this fixture's work estimates pick merging.
-  // ChoiceFollowsWorkEstimates pins "hybrid chose k-aware-graph" to the
-  // estimates that select it.
-  auto fixture = MakeRandomProblem(113, 12, 10);
-  auto unconstrained =
-      SolveWith(fixture->problem, OptimizerMethod::kOptimal, std::nullopt);
-  ASSERT_TRUE(unconstrained.ok());
-  const int64_t l =
-      CountChanges(fixture->problem, unconstrained->schedule.configs);
-  ASSERT_GE(l, 2);
-  const auto detail = [&](int64_t k) {
-    return SolveWith(fixture->problem, OptimizerMethod::kHybrid, k)
+  // method_detail is wire bytes: pin all three choices. On seed 113 the
+  // unconstrained optimum's own change count l suffices and one bound
+  // below it the estimates pick merging; on the alternating fixture
+  // k = 0 picks the k-aware graph.
+  const auto detail = [](const DesignProblem& problem, int64_t k) {
+    return SolveWith(problem, OptimizerMethod::kHybrid, k)
         .value()
         .method_detail;
   };
-  EXPECT_EQ(detail(l), "hybrid chose unconstrained");
-  EXPECT_EQ(detail(l - 1), "hybrid chose merging");
+  const auto changes = [](const DesignProblem& problem) {
+    auto unconstrained =
+        SolveWith(problem, OptimizerMethod::kOptimal, std::nullopt);
+    return CountChanges(problem, unconstrained.value().schedule.configs);
+  };
+
+  auto fixture = MakeRandomProblem(113, 12, 10);
+  const int64_t l = changes(fixture->problem);
+  ASSERT_GE(l, 2);
+  ASSERT_FALSE(GraphIsCheaper(fixture->problem, l, l - 1));
+  EXPECT_EQ(detail(fixture->problem, l), "hybrid chose unconstrained");
+  EXPECT_EQ(detail(fixture->problem, l - 1), "hybrid chose merging");
+
+  auto alternating = MakeAlternatingProblem(40, 200);
+  ASSERT_TRUE(
+      GraphIsCheaper(alternating->problem, changes(alternating->problem), 0));
+  EXPECT_EQ(detail(alternating->problem, 0), "hybrid chose k-aware-graph");
 }
 
 }  // namespace
